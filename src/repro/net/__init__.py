@@ -31,11 +31,12 @@ never a silent drop), per-connection accounting for the monitor's NET
 view, and DLQ inspect/drain operations for operators.
 
 See DESIGN.md §14 for the framing format and the
-chaos-behind-the-injector contract, and §15 for the bus log format
-and the recovery/determinism contract across broker restarts.
+chaos-behind-the-injector contract, §11 for the bus log's journal and
+checkpoint format, and §15 for the recovery/determinism contract
+across broker restarts.
 """
 
-from repro.net.buslog import BusLog, BusLogJournal, replay_into
+from repro.net.buslog import BusLog, replay_into
 from repro.net.client import SocketBus
 from repro.net.frames import (
     FrameDecoder,
@@ -54,7 +55,6 @@ from repro.net.server import (
 __all__ = [
     "BrokerProcess",
     "BusLog",
-    "BusLogJournal",
     "BusServer",
     "BusServerThread",
     "FrameDecoder",

@@ -4,19 +4,23 @@ PR 8 put the authoritative :class:`~repro.wfms.messaging.MessageBus`
 behind a socket — and thereby into one process's volatile memory.  A
 broker crash silently destroyed every queue, in-flight envelope, DLQ
 entry and stat bucket, even though every *node* could replay its own
-journal.  :class:`BusLog` closes that hole with the same machinery the
-engine store uses (:mod:`repro.store`):
+journal.  :class:`BusLog` closes that hole with the very facility the
+engine store runs on, a :class:`~repro.store.checkpointed.
+CheckpointedLog`:
 
-* a :class:`BusLogJournal` — a :class:`~repro.store.segments.
-  SegmentedJournal` whose record types are the **state-mutating bus
-  operations** (``send``, ``reject``, ``ack``, ``nack``,
-  ``dead_letter``, ``dlq_drain``, ``recover_in_flight``) and whose
-  fault sites are ``buslog.append`` / ``buslog.fsync``.  The
-  ``always | batch | never`` sync policies apply unchanged;
-* checkpoints — atomic, checksummed snapshots of the full bus state
-  (:func:`repro.store.snapshot.write_checkpoint`) tagged with the
-  journal offset they cover, retired and compacted exactly like the
-  engine's, so recovery is O(delta since last checkpoint);
+* its journal is a :class:`~repro.store.segments.SegmentedJournal`
+  whose record types are the **state-mutating bus operations**
+  (``send``, ``reject``, ``ack``, ``nack``, ``dead_letter``,
+  ``dlq_drain``, ``recover_in_flight``) and whose fault sites are
+  ``buslog.append`` / ``buslog.fsync``.  The ``always | batch |
+  never`` sync policies apply unchanged;
+* its checkpoints are atomic, checksummed snapshots of the full bus
+  state tagged with the journal offset they cover, written, retired
+  and compacted by the one protocol the engine's are, so recovery is
+  O(delta since last checkpoint);
+
+and adds what is the broker's own:
+
 * an ``EPOCH`` file bumped on every open — the broker-restart token
   clients compare in the hello reply to detect that their session
   died with a previous broker incarnation.
@@ -46,13 +50,11 @@ double-applying.
 from __future__ import annotations
 
 import os
-import re
-import tempfile
 from typing import Any
 
 from repro.errors import RecoveryError
-from repro.store.segments import SegmentedJournal
-from repro.store.snapshot import fsync_dir, load_checkpoint, write_checkpoint
+from repro.store.atomic import atomic_write
+from repro.store.checkpointed import CheckpointedLog
 from repro.wfms.messaging import MessageBus, _Envelope, dlq_name
 
 #: The state-mutating bus operations the log journals.  Everything
@@ -70,18 +72,8 @@ BUS_RECORD_TYPES = frozenset(
     }
 )
 
-CHECKPOINT_TEMPLATE = "buscheck-%08d.json"
-_CHECKPOINT_RE = re.compile(r"^buscheck-(\d{8})\.json$")
 EPOCH_NAME = "EPOCH"
 LOG_DIRNAME = "log"
-
-
-class BusLogJournal(SegmentedJournal):
-    """The broker's segmented journal: bus-op record types, consulted
-    at the ``buslog.append`` / ``buslog.fsync`` fault sites."""
-
-    record_types = BUS_RECORD_TYPES
-    fault_scope = "buslog"
 
 
 def _msg_seq(msg_id: str) -> int:
@@ -196,7 +188,7 @@ class BusLog:
 
         EPOCH                 restart counter (bumped every open)
         buscheck-%08d.json    checkpoints, numbered by covered offset
-        log/                  the BusLogJournal segment directory
+        log/                  the journal's segment directory
 
     ``sync`` is the journal's durability policy
     (``always | batch | never``); ``checkpoint_every`` (records)
@@ -224,24 +216,26 @@ class BusLog:
                 "may be torn by the crash being recovered from)"
             )
         self._directory = os.fspath(directory)
-        os.makedirs(self._directory, exist_ok=True)
         self._checkpoint_every = checkpoint_every
-        self._keep_checkpoints = keep_checkpoints
-        self._injector = injector
-        self.epoch = self._bump_epoch()
-        self.journal = BusLogJournal(
-            os.path.join(self._directory, LOG_DIRNAME),
+        self._log = CheckpointedLog(
+            self._directory,
+            journal_dirname=LOG_DIRNAME,
+            checkpoint_prefix="buscheck-",
+            offset_digits=8,
+            keep_checkpoints=keep_checkpoints,
+            injector=injector,
             sync=sync,
             segment_max_records=segment_max_records,
-            injector=injector,
             obs=obs,
+            record_types=BUS_RECORD_TYPES,
+            fault_scope="buslog",
         )
+        self.journal = self._log.journal
+        self.epoch = self._bump_epoch()
         self._since_checkpoint = 0
-        self._last_checkpoint_offset: int | None = None
+        offsets = self._log.checkpoint_offsets()
+        self._last_checkpoint_offset = offsets[-1] if offsets else None
         self.checkpoint_failures = 0
-        newest = self._checkpoint_offsets()
-        if newest:
-            self._last_checkpoint_offset = newest[-1]
 
     # -- layout ---------------------------------------------------------
 
@@ -253,56 +247,23 @@ class BusLog:
     def sync(self) -> str:
         return self.journal.sync
 
-    def _epoch_path(self) -> str:
-        return os.path.join(self._directory, EPOCH_NAME)
-
-    def _checkpoint_path(self, offset: int) -> str:
-        return os.path.join(self._directory, CHECKPOINT_TEMPLATE % offset)
-
-    def _checkpoint_offsets(self) -> list[int]:
-        """Covered offsets of every checkpoint file, oldest first."""
-        offsets = []
-        for name in os.listdir(self._directory):
-            matched = _CHECKPOINT_RE.match(name)
-            if matched:
-                offsets.append(int(matched.group(1)))
-        return sorted(offsets)
-
     def _bump_epoch(self) -> int:
         """Read, increment and atomically rewrite the EPOCH file —
         each open of the durable directory is a new broker
         incarnation, observable by clients in the hello reply."""
-        path = self._epoch_path()
-        prior = 0
+        path = os.path.join(self._directory, EPOCH_NAME)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 prior = int(handle.read().strip() or 0)
         except (OSError, ValueError):
             prior = 0
-        epoch = prior + 1
-        fd, tmp = tempfile.mkstemp(
-            prefix=EPOCH_NAME + ".", suffix=".tmp", dir=self._directory
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("%d\n" % epoch)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        fsync_dir(self._directory)
-        return epoch
+        atomic_write(path, "%d\n" % (prior + 1))
+        return prior + 1
 
     def set_injector(self, injector) -> None:
         """Swap the fault injector (``install_injector`` over the
         wire installs one after the broker already opened its log)."""
-        self._injector = injector
-        self.journal._injector = injector
+        self._log.set_injector(injector)
 
     # -- appends --------------------------------------------------------
 
@@ -325,58 +286,15 @@ class BusLog:
     def checkpoint(
         self, bus_state: dict[str, Any], sessions: dict[str, Any]
     ) -> int:
-        """One durable snapshot of the whole broker state; returns the
-        covered offset.
-
-        Protocol (the :class:`~repro.store.durable.DurableStore`
-        discipline): flush the journal, rotate the active segment so a
-        compaction boundary exists at the offset, atomically write the
-        checkpoint, verify it by reloading, retire old snapshots, then
-        compact the journal below the offset.
-        """
-        self.journal.flush()
-        self.journal.rotate()
-        offset = self.journal.next_index
-        state = {
-            "offset": offset,
-            "bus": bus_state,
-            "sessions": sessions,
-        }
-        path = self._checkpoint_path(offset)
-        write_checkpoint(path, state, injector=self._injector)
-        if load_checkpoint(path) is None:
-            raise RecoveryError(
-                "checkpoint %s failed post-write verification" % path
-            )
+        """One durable snapshot of the whole broker state (the
+        :class:`CheckpointedLog` protocol); returns the covered
+        offset."""
+        offset = self._log.checkpoint(
+            {"bus": bus_state, "sessions": sessions}
+        )
         self._last_checkpoint_offset = offset
         self._since_checkpoint = 0
-        self._retire_checkpoints()
-        # Compact only below the *oldest retained* checkpoint: the
-        # newest may be torn by the next crash, and its fallback needs
-        # the journal suffix from the older snapshot's offset.
-        retained = self._checkpoint_offsets()
-        if retained:
-            self.journal.compact(retained[0], injector=self._injector)
         return offset
-
-    def _retire_checkpoints(self) -> None:
-        for offset in self._checkpoint_offsets()[: -self._keep_checkpoints]:
-            try:
-                os.unlink(self._checkpoint_path(offset))
-            except OSError:
-                pass
-
-    def latest_checkpoint(self) -> tuple[dict[str, Any] | None, int]:
-        """Newest checkpoint state that verifies, plus how many newer
-        ones were skipped as torn/corrupt (falling back to an older
-        snapshot costs replay time, never correctness)."""
-        skipped = 0
-        for offset in reversed(self._checkpoint_offsets()):
-            state = load_checkpoint(self._checkpoint_path(offset))
-            if state is not None:
-                return state, skipped
-            skipped += 1
-        return None, skipped
 
     # -- recovery -------------------------------------------------------
 
@@ -385,7 +303,7 @@ class BusLog:
         per-session dedup table from checkpoint + journal suffix;
         returns the recovery report the broker surfaces in its
         snapshot."""
-        state, skipped = self.latest_checkpoint()
+        state, skipped = self._log.latest()
         offset = 0
         sessions: dict[str, Any] = {}
         restored = 0
@@ -396,7 +314,7 @@ class BusLog:
                 name: dict(entry)
                 for name, entry in (state.get("sessions") or {}).items()
             }
-        suffix = self.journal.suffix(offset)
+        suffix = self._log.suffix(offset)
         counter = bus._counter
         for record in suffix:
             replay_into(bus, record)
@@ -426,7 +344,7 @@ class BusLog:
 
     def status(self) -> dict[str, Any]:
         """Durability status for the monitor's NET view."""
-        offsets = self._checkpoint_offsets()
+        offsets = self._log.checkpoint_offsets()
         return {
             "directory": self._directory,
             "epoch": self.epoch,

@@ -15,16 +15,22 @@ package bounds both with the classic checkpoint-plus-log pattern:
   memory into an append-only, queryable archive (the paper notes
   FlowMark deletes finished processes and keeps the audit trail as
   history);
-* :mod:`repro.store.durable` — :class:`DurableStore` ties the three
-  together and plugs into ``Engine(store=...)``.
+* :mod:`repro.store.checkpointed` — :class:`CheckpointedLog`, a
+  segmented journal plus the snapshot files that cover it, run by one
+  checkpoint/compact protocol; the engine store and the broker's bus
+  log (:mod:`repro.net.buslog`) are both instances of it;
+* :mod:`repro.store.durable` — :class:`DurableStore` adds the engine's
+  side (what a snapshot holds, when one is due, the archive) and plugs
+  into ``Engine(store=...)``.
 
 Recovery becomes O(delta since last checkpoint) instead of
-O(full history); :func:`repro.wfms.recovery.replay_with_store` holds
-the restore-then-replay-suffix logic and the argument for why it is
+O(full history); :func:`repro.wfms.recovery.replay` holds the
+restore-then-replay-suffix logic and the argument for why it is
 equivalent to a full replay.
 """
 
 from repro.store.archive import InstanceArchive
+from repro.store.checkpointed import CheckpointedLog
 from repro.store.durable import DurableStore
 from repro.store.segments import SegmentedJournal
 from repro.store.snapshot import (
@@ -37,6 +43,7 @@ from repro.store.snapshot import (
 
 __all__ = [
     "Checkpoint",
+    "CheckpointedLog",
     "DurableStore",
     "InstanceArchive",
     "SegmentedJournal",

@@ -10,21 +10,20 @@
 and plugs into ``Engine(store=...)``.  The engine drives it from three
 places: :meth:`maybe_checkpoint` after each executed navigation step
 (the ``checkpoint_every`` policy), :meth:`archive_finished` when a
-root instance finishes, and
-:func:`repro.wfms.recovery.replay_with_store` on ``Engine.recover()``.
+root instance finishes, and ``Engine.recover()``, which hands
+:meth:`latest_checkpoint`, the journal suffix past it and the archived
+ids to :func:`repro.wfms.recovery.replay`.
 
-Checkpoint protocol (the reason recovery is O(delta)):
-
-1. ``journal.flush()`` — the offset about to be covered must be
-   durable *before* the snapshot claims to cover it;
-2. ``journal.rotate()`` — seal the active segment so the checkpoint
-   boundary is also a segment boundary (compaction can then drop
-   whole files, never splitting one across the offset);
-3. capture + atomic checksummed write of the snapshot;
-4. re-load and verify the file just written — only a *verified*
-   checkpoint updates the store's covered offset or is handed to
-   compaction;
-5. retire snapshots beyond ``keep_checkpoints``; optionally compact.
+The journal, the checkpoint files and the checkpoint protocol (flush →
+rotate → atomic write → verify → retire → compact below the oldest
+retained snapshot) are a :class:`~repro.store.checkpointed.
+CheckpointedLog`, shared with the broker's bus log.  What this class
+adds is the engine's side: *what* a snapshot holds
+(:func:`~repro.store.snapshot.capture_state`), *when* one is due (the
+``checkpoint_every`` policy), the finished-instance archive — whose
+ids are the compaction drop set, and which is therefore fsynced
+*before* a snapshot that omits its instances is written — and the
+``wfms_store_*`` instruments.
 
 A store instance is single-use: :meth:`attach` binds it to one
 engine's obs/injector handles, mirroring how a fresh :class:`Engine`
@@ -34,18 +33,15 @@ is built per crash/recover cycle.
 from __future__ import annotations
 
 import os
-import re
 import time
 from typing import Any
 
-from repro.errors import RecoveryError, WorkflowError
+from repro.errors import WorkflowError
 from repro.obs import resolve_observability
 from repro.store.archive import InstanceArchive, build_archive_entry
+from repro.store.checkpointed import CheckpointedLog
 from repro.store.segments import SegmentedJournal
-from repro.store.snapshot import Checkpoint, capture_state, load_checkpoint
-
-CHECKPOINT_TEMPLATE = "checkpoint-%012d.json"
-_CHECKPOINT_RE = re.compile(r"^checkpoint-(\d{12})\.json$")
+from repro.store.snapshot import Checkpoint, capture_state
 
 
 class DurableStore:
@@ -79,15 +75,13 @@ class DurableStore:
         self._compact_on_checkpoint = compact_on_checkpoint
         self._keep_checkpoints = keep_checkpoints
         self._segment_max_records = segment_max_records
-        self._journal: SegmentedJournal | None = None
+        self._log: CheckpointedLog | None = None
         self._archive: InstanceArchive | None = None
-        self._injector = None
-        self._attached = False
         #: offset covered by the last *verified* checkpoint this
         #: process wrote or recovered from, or None.
         self._last_offset: int | None = None
         self._last_ckpt_clock: float | None = None
-        #: set by replay_with_store: how the last recovery went.
+        #: set by Engine.recover(): how the last recovery went.
         self.last_recovery: dict[str, Any] | None = None
 
     def checkpoint_every(
@@ -116,14 +110,11 @@ class DurableStore:
         build a fresh :class:`DurableStore` over the same directory for
         the post-crash engine, the way chaos tests build fresh engines.
         """
-        if self._attached:
+        if self._log is not None:
             raise WorkflowError(
                 "this DurableStore is already attached to an engine; "
                 "build a fresh one over the same directory"
             )
-        self._attached = True
-        self._injector = injector
-        os.makedirs(self._directory, exist_ok=True)
         obs = resolve_observability(obs)
         self._obs_on = obs.enabled
         self._tracer = obs.tracer
@@ -133,7 +124,7 @@ class DurableStore:
         )
         self._h_checkpoint_seconds = metrics.histogram(
             "wfms_store_checkpoint_seconds",
-            "Wall-clock seconds per checkpoint (flush+rotate+capture+write)",
+            "Wall-clock seconds per checkpoint (capture through compaction)",
         )
         self._c_compactions = metrics.counter(
             "wfms_store_compactions_total", "Journal compactions committed"
@@ -144,14 +135,18 @@ class DurableStore:
         self._g_archive = metrics.gauge(
             "wfms_store_archive_size", "Archived instances (incl. children)"
         )
-        self._journal = SegmentedJournal(
-            os.path.join(self._directory, "journal"),
+        self._log = CheckpointedLog(
+            self._directory,
+            journal_dirname="journal",
+            checkpoint_prefix="checkpoint-",
+            offset_digits=12,
+            keep_checkpoints=self._keep_checkpoints,
+            injector=injector,
             sync=self._sync,
             batch_size=self._batch_size,
             batch_interval=self._batch_interval,
             segment_max_records=self._segment_max_records,
             obs=obs,
-            injector=injector,
         )
         self._archive = InstanceArchive(
             os.path.join(self._directory, "archive.jsonl"), sync=self._sync
@@ -160,11 +155,11 @@ class DurableStore:
         self._last_offset = latest.offset if latest is not None else None
         self._last_ckpt_clock = latest.clock if latest is not None else None
         if self._obs_on:
-            self._g_segments.set(self._journal.segments_live)
+            self._g_segments.set(self.journal.segments_live)
             self._g_archive.set(self._archive.instance_count())
 
     def _require_attached(self) -> None:
-        if not self._attached or self._journal is None:
+        if self._log is None:
             raise WorkflowError(
                 "DurableStore is not attached to an engine yet"
             )
@@ -176,7 +171,7 @@ class DurableStore:
     @property
     def journal(self) -> SegmentedJournal:
         self._require_attached()
-        return self._journal
+        return self._log.journal
 
     @property
     def archive(self) -> InstanceArchive:
@@ -189,40 +184,28 @@ class DurableStore:
 
     def checkpoint_files(self) -> list[str]:
         """Checkpoint file paths, oldest (lowest offset) first."""
-        try:
-            names = os.listdir(self._directory)
-        except OSError:
-            return []
-        found = []
-        for name in names:
-            match = _CHECKPOINT_RE.match(name)
-            if match is not None:
-                found.append((int(match.group(1)), name))
-        return [
-            os.path.join(self._directory, name)
-            for __, name in sorted(found)
-        ]
+        self._require_attached()
+        log = self._log
+        return [log.checkpoint_path(o) for o in log.checkpoint_offsets()]
 
     def latest_checkpoint(self) -> tuple[Checkpoint | None, int]:
         """Newest checkpoint that loads and verifies, plus how many
         newer files were skipped as torn/corrupt (the fallback count)."""
-        skipped = 0
-        for path in reversed(self.checkpoint_files()):
-            checkpoint = Checkpoint.load(path)
-            if checkpoint is not None:
-                return checkpoint, skipped
-            skipped += 1
-        return None, skipped
+        self._require_attached()
+        state, skipped = self._log.latest()
+        if state is None:
+            return None, skipped
+        path = self._log.checkpoint_path(int(state["offset"]))
+        return Checkpoint(state, path), skipped
 
     def maybe_checkpoint(self, navigator) -> "Checkpoint | None":
         """Write a checkpoint if the policy says one is due."""
         if self._every_records is None and self._interval is None:
             return None
-        journal = self._journal
-        if journal is None:
+        log = self._log
+        if log is None:
             return None
-        covered = self._last_offset if self._last_offset is not None else 0
-        new_records = journal.next_index - covered
+        new_records = log.journal.next_index - (self._last_offset or 0)
         if new_records <= 0:
             return None
         due = (
@@ -230,41 +213,33 @@ class DurableStore:
             and new_records >= self._every_records
         )
         if not due and self._interval is not None:
-            last_clock = (
-                self._last_ckpt_clock
-                if self._last_ckpt_clock is not None
-                else 0.0
-            )
+            last_clock = self._last_ckpt_clock or 0.0
             due = navigator.clock - last_clock >= self._interval
         if not due:
             return None
         return self.checkpoint(navigator)
 
     def checkpoint(self, navigator) -> Checkpoint:
-        """Write one checkpoint now (see module docstring protocol)."""
+        """Write one checkpoint now (the :class:`CheckpointedLog`
+        protocol, behind an archive barrier)."""
         self._require_attached()
-        journal = self._journal
+        log = self._log
+        journal = log.journal
         span = None
         if self._obs_on and self._tracer.enabled:
             span = self._tracer.start_span("store.checkpoint", kind="store")
         started = time.perf_counter()
         try:
-            journal.flush()
-            journal.rotate()
-            offset = journal.next_index
-            state = capture_state(navigator, offset)
-            path = os.path.join(
-                self._directory, CHECKPOINT_TEMPLATE % offset
+            # The snapshot omits archived instances and compaction
+            # drops their journal records, so their archive lines must
+            # be on disk before the snapshot is.
+            self._archive.flush()
+            state = capture_state(navigator, journal.next_index)
+            offset = log.checkpoint(
+                state,
+                drop_instances=self._archive.ids(),
+                compact=self._compact_on_checkpoint,
             )
-            checkpoint = Checkpoint(state)
-            checkpoint.write(path, injector=self._injector)
-            if load_checkpoint(path) is None:
-                raise RecoveryError(
-                    "checkpoint %s failed post-write verification" % path
-                )
-            self._last_offset = offset
-            self._last_ckpt_clock = navigator.clock
-            self._retire_checkpoints()
         finally:
             elapsed = time.perf_counter() - started
             if span is not None:
@@ -272,43 +247,27 @@ class DurableStore:
                 span.finish()
             if self._obs_on:
                 self._h_checkpoint_seconds.observe(elapsed)
+        self._last_offset = offset
+        self._last_ckpt_clock = navigator.clock
         if self._obs_on:
             self._c_checkpoints.inc()
+            if self._compact_on_checkpoint:
+                self._c_compactions.inc()
             self._g_segments.set(journal.segments_live)
-        if self._compact_on_checkpoint:
-            self.compact(checkpoint)
-        return checkpoint
-
-    def _retire_checkpoints(self) -> None:
-        files = self.checkpoint_files()
-        for path in files[: -self._keep_checkpoints]:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        return Checkpoint(state, log.checkpoint_path(offset))
 
     # ------------------------------------------------------------------
     # compaction / archive
     # ------------------------------------------------------------------
 
-    def compact(self, checkpoint: Checkpoint | None = None) -> dict[str, Any]:
-        """Drop journal history covered by ``checkpoint`` (default: the
-        latest verified one on disk)."""
+    def compact(self) -> dict[str, Any]:
+        """Drop journal history below the oldest retained checkpoint —
+        what every checkpoint does online, on demand (operator CLI)."""
         self._require_attached()
-        if checkpoint is None:
-            checkpoint, __ = self.latest_checkpoint()
-            if checkpoint is None:
-                raise RecoveryError(
-                    "no durable checkpoint to compact against"
-                )
-        stats = self._journal.compact(
-            checkpoint.offset,
-            drop_instances=self._archive.ids(),
-            injector=self._injector,
-        )
+        stats = self._log.compact(self._archive.ids())
         if self._obs_on:
             self._c_compactions.inc()
-            self._g_segments.set(self._journal.segments_live)
+            self._g_segments.set(self.journal.segments_live)
         return stats
 
     def archive_finished(self, navigator, instance) -> None:
@@ -332,7 +291,7 @@ class DurableStore:
         """Operator view (``Engine.monitor``/``store_status``, the
         monitor CLI's STORE line)."""
         self._require_attached()
-        journal = self._journal
+        journal = self._log.journal
         covered = self._last_offset
         out = {
             "enabled": True,
@@ -358,29 +317,29 @@ class DurableStore:
 
     def flush(self) -> None:
         self._require_attached()
-        self._journal.flush()
+        self._log.journal.flush()
         self._archive.flush()
 
     def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
+        if self._log is not None:
+            self._log.journal.close()
         if self._archive is not None:
             self._archive.close()
 
     def abandon(self) -> None:
         """Release file handles without final commits (failing disk)."""
-        if self._journal is not None:
-            self._journal.abandon()
+        if self._log is not None:
+            self._log.journal.abandon()
         if self._archive is not None:
             self._archive.abandon()
 
     def reopen(self) -> None:
         self._require_attached()
-        self._journal.reopen()
+        self._log.journal.reopen()
         self._archive.reopen()
 
     def __repr__(self) -> str:
         return "DurableStore(%r, attached=%s)" % (
             self._directory,
-            self._attached,
+            self._log is not None,
         )

@@ -31,21 +31,24 @@ unfinished (non-archived) instances.  The active segment is never
 touched.
 
 Sync policies (``always | batch | never``), the write-then-record
-memory discipline, and the ``journal.append`` / ``journal.fsync``
-fault-injection sites are all inherited unchanged from the base
-class — the chaos suite applies as-is.
+memory discipline, the record-type allowlist and the
+``<fault_scope>.append`` / ``<fault_scope>.fsync`` fault-injection
+sites are the base class's, ``append`` included — this class only
+supplies the index bookkeeping ``append`` maintains — so the chaos
+suites apply as-is.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from bisect import bisect_left
 from typing import Any, Iterable
 
 from repro.errors import RecoveryError
+from repro.store.atomic import atomic_write
 from repro.wfms.journal import (
+    RECORD_TYPES,
     Journal,
     _read_file,
     read_json_lines,
@@ -56,14 +59,6 @@ MANIFEST_FORMAT = 1
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_TEMPLATE = "segment-%08d.jsonl"
 COMPACTED_TEMPLATE = "segment-%08d.c%d.jsonl"
-
-
-def _fsync_dir(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SegmentedJournal(Journal):
@@ -84,6 +79,8 @@ class SegmentedJournal(Journal):
         segment_max_records: int | None = None,
         obs=None,
         injector=None,
+        record_types: Iterable[str] = RECORD_TYPES,
+        fault_scope: str = "journal",
     ):
         # Base init with path=None: sync policy, buffers, obs
         # instruments and the injector — no file handling.
@@ -94,6 +91,8 @@ class SegmentedJournal(Journal):
             batch_interval=batch_interval,
             obs=obs,
             injector=injector,
+            record_types=record_types,
+            fault_scope=fault_scope,
         )
         if segment_max_records is not None and segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
@@ -105,14 +104,11 @@ class SegmentedJournal(Journal):
         self._compactions = 0
         #: global record index per row of ``self._memory`` (parallel
         #: lists; strictly increasing, with holes after compaction).
-        self._indices: list[int] = []
-        self._next_index = 0
+        #: ``Journal.append`` extends it and rotates at ``_rotate_at``.
+        self._indices = []
         self._load()
         self._path = self._directory
-        # A torn tail on the active file (crash mid-append) is trimmed
-        # before appending so new records never concatenate onto it.
-        trim_torn_tail(self._active_file())
-        self._file = open(self._active_file(), "a", encoding="utf-8")
+        self._open_active()
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -241,42 +237,25 @@ class SegmentedJournal(Journal):
         self._next_index = first + count
 
     def _write_manifest(self) -> None:
-        document = self.manifest()
-        path = self._manifest_path()
-        fd, tmp = tempfile.mkstemp(
-            prefix=MANIFEST_NAME + ".", suffix=".tmp", dir=self._directory
+        atomic_write(
+            self._manifest_path(),
+            json.dumps(self.manifest(), sort_keys=True) + "\n",
         )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        _fsync_dir(self._directory)
 
     # ------------------------------------------------------------------
-    # appends / rotation
+    # rotation
     # ------------------------------------------------------------------
 
-    def append(self, record: dict[str, Any]) -> None:
-        super().append(record)
-        # Only reached when the base append succeeded (write-then-
-        # record): the global index mirrors the memory row exactly.
-        self._indices.append(self._next_index)
-        self._next_index += 1
-        if (
-            self._segment_max_records is not None
-            and self._active_count() >= self._segment_max_records
-            and self._file is not None
-        ):
-            self.rotate()
+    def _open_active(self) -> None:
+        """Open the active segment for appending.  A torn tail (crash
+        mid-append) is trimmed first so new records never concatenate
+        onto it."""
+        trim_torn_tail(self._active_file())
+        self._file = open(self._active_file(), "a", encoding="utf-8")
+        if self._segment_max_records is not None:
+            self._rotate_at = (
+                self._active_entry()["first"] + self._segment_max_records
+            )
 
     def rotate(self) -> None:
         """Seal the active segment and open a fresh one.
@@ -304,12 +283,11 @@ class SegmentedJournal(Journal):
             }
         )
         self._write_manifest()
-        self._file = open(self._active_file(), "a", encoding="utf-8")
+        self._open_active()
 
     def reopen(self) -> None:
         if self._file is None:
-            trim_torn_tail(self._active_file())
-            self._file = open(self._active_file(), "a", encoding="utf-8")
+            self._open_active()
 
     # ------------------------------------------------------------------
     # reads
@@ -332,7 +310,6 @@ class SegmentedJournal(Journal):
         offset: int,
         *,
         drop_instances: Iterable[str] = (),
-        injector=None,
     ) -> dict[str, Any]:
         """Drop journal history covered by a durable checkpoint.
 
@@ -379,10 +356,12 @@ class SegmentedJournal(Journal):
             new_entry, rows = self._rewrite_segment(head, offset, dropped)
             kept_indices = {index for index, __ in rows}
             stats["records_dropped"] += head["count"] - len(rows)
-        if injector is not None:
+        if self._injector is not None:
             # An injected compaction failure models a crash after the
             # rewrite but before the manifest commit.
-            injector.on_store("compact", os.path.basename(self._directory))
+            self._injector.on_store(
+                "compact", os.path.basename(self._directory)
+            )
         if not removed and not rewrite:
             stats["segments_live"] = len(self._segments)
             return stats

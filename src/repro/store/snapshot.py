@@ -9,7 +9,7 @@ the live instances, and the set of registered definition
 name+version pairs the instances were started against.  The
 ``offset`` names the first journal record *not* covered — recovery
 restores the snapshot and replays only the suffix from ``offset`` on
-(:func:`repro.wfms.recovery.replay_with_store`).
+(:func:`repro.wfms.recovery.replay`).
 
 What is deliberately **not** captured: retry counters, timeout start
 times and backoff due-times.  Those are volatile in the base system
@@ -17,11 +17,10 @@ too — a crash plus full-journal replay resets them (failed invocations
 are never journaled) — so restoring them would make checkpointed
 recovery *diverge* from the full-replay semantics it must reproduce.
 
-Durability protocol (write): serialize → write to a temp file in the
-same directory → flush + fsync → ``os.replace`` onto the final name →
-fsync the directory.  A crash at any point leaves either the old
-complete file or the new complete file visible.  Each file carries a
-format version and a SHA-256 checksum over its canonical state JSON;
+Durability protocol (write): serialize, then
+:func:`repro.store.atomic.atomic_write` — a crash at any point leaves
+either the old complete file or the new complete file visible.  Each
+file carries a format version and a SHA-256 checksum over its canonical state JSON;
 :func:`load_checkpoint` returns ``None`` for anything torn, truncated
 or tampered, and the store falls back to the previous snapshot (longer
 replay, never wrong state).
@@ -32,10 +31,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from typing import Any
 
 from repro.errors import RecoveryError
+from repro.store.atomic import atomic_write
 from repro.wfms.instance import ActivityState, ProcessInstance, ProcessState
 
 FORMAT_VERSION = 1
@@ -44,15 +43,6 @@ FORMAT_VERSION = 1
 def _checksum(state: dict[str, Any]) -> str:
     canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def fsync_dir(path: str) -> None:
-    """fsync a directory so a rename inside it is durable."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 # ----------------------------------------------------------------------
@@ -253,24 +243,7 @@ def write_checkpoint(
                 handle.flush()
                 os.fsync(handle.fileno())
             raise
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    fsync_dir(directory)
+    atomic_write(path, data + "\n")
 
 
 def load_checkpoint(path: str | os.PathLike[str]) -> dict[str, Any] | None:
@@ -321,22 +294,11 @@ class Checkpoint:
         return len(self.state["instances"])
 
     @classmethod
-    def capture(cls, navigator, offset: int) -> "Checkpoint":
-        return cls(capture_state(navigator, offset))
-
-    @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "Checkpoint | None":
         state = load_checkpoint(path)
         if state is None:
             return None
         return cls(state, os.fspath(path))
-
-    def write(self, path: str | os.PathLike[str], *, injector=None) -> None:
-        write_checkpoint(path, self.state, injector=injector)
-        self.path = os.fspath(path)
-
-    def restore_into(self, navigator) -> int:
-        return restore_state(navigator, self.state)
 
     def __repr__(self) -> str:
         return "Checkpoint(offset=%d, instances=%d)" % (

@@ -14,9 +14,10 @@ the checkpoints (newest first, each verified) and the archive, and
 reports the *replay debt*: how many journal records a recovery would
 replay past the latest valid checkpoint.  ``checkpoint`` validates
 every snapshot file on disk.  ``compact`` drops journal segments
-wholly covered by the latest valid checkpoint and rewrites the oldest
-live segment keeping only unfinished-instance records — exactly what
-the engine does online after each checkpoint.  ``archive-query``
+wholly covered by the oldest retained checkpoint (recovery may have to
+fall back to it) and rewrites the oldest live segment keeping only
+unfinished-instance records — exactly what the engine does online
+after each checkpoint.  ``archive-query``
 answers the monitoring queries (:meth:`by_id`, :meth:`by_definition`,
 :meth:`finished_between`, :meth:`outcomes`) from the archive file.
 """
@@ -145,11 +146,7 @@ def cmd_checkpoint(store: DurableStore, args, out) -> int:
 
 
 def cmd_compact(store: DurableStore, args, out) -> int:
-    checkpoint, __ = store.latest_checkpoint()
-    if checkpoint is None:
-        print("error: no durable checkpoint to compact against", file=out)
-        return 1
-    stats = store.compact(checkpoint)
+    stats = store.compact()
     print(
         "compacted to offset %d: dropped %d segment(s) / %d record(s), "
         "rewrote %d, %d live segment(s) remain"

@@ -35,7 +35,7 @@ from repro.wfms.model import ActivityKind, ProcessDefinition
 from repro.wfms.navigator import Navigator
 from repro.wfms.organization import Organization
 from repro.wfms.programs import Program, ProgramRegistry
-from repro.wfms.recovery import replay, replay_with_store
+from repro.wfms.recovery import replay
 from repro.wfms.registry import DefinitionRegistry
 from repro.wfms.worklist import Notification, WorkItem, WorklistManager
 
@@ -78,7 +78,8 @@ class Engine:
         segmented journal *becomes* the engine journal, so ``store``
         and ``journal_path`` are mutually exclusive.  ``recover()``
         then restores the latest snapshot and replays only the journal
-        suffix past it."""
+        suffix past it.  A plain ``journal_path`` journal is the same
+        recovery with no snapshot and nothing archived."""
         self.obs = resolve_observability(observability)
         self.programs = ProgramRegistry()
         self.organization = (
@@ -98,19 +99,20 @@ class Engine:
                 )
             store.attach(obs=self.obs, injector=fault_injector)
             self._journal = store.journal
-        else:
-            self._journal = (
-                Journal(
-                    journal_path,
-                    sync=journal_sync,
-                    batch_size=journal_batch_size,
-                    batch_interval=journal_batch_interval,
-                    obs=self.obs,
-                    injector=fault_injector,
-                )
-                if journal_path is not None
-                else None
+        elif journal_path is not None:
+            self._journal = Journal(
+                journal_path,
+                sync=journal_sync,
+                batch_size=journal_batch_size,
+                batch_interval=journal_batch_interval,
+                obs=self.obs,
+                injector=fault_injector,
             )
+        else:
+            self._journal = None
+        #: what crash/close/recover flush, close, abandon and reopen:
+        #: the store (journal + archive), a bare journal, or nothing.
+        self._durable = store if store is not None else self._journal
         self._crashed = False
         self.navigator = Navigator(
             self._definitions,
@@ -657,22 +659,13 @@ class Engine:
         committed before the journal closes, so an orderly ``crash()``
         (and ``close()``) loses nothing — only a *hard* loss of the
         process can drop the unflushed suffix."""
-        if self._store is not None:
-            self._store.flush()
-            self._store.close()
-        elif self._journal is not None:
-            self._journal.flush()
-            self._journal.close()
-        self._crashed = True
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "wfms_engine_crashes_total", "Simulated machine failures"
-            ).inc()
-            if self.obs.hooks.wants(EngineCrashed):
-                self.obs.hooks.publish(EngineCrashed(self.navigator.clock))
+        self.close()
+        self._mark_crashed()
 
     def recover(self) -> int:
-        """Replay the journal (must be file-backed) into this engine.
+        """Forward recovery from this engine's journal, or — with a
+        ``store=`` — from its newest valid checkpoint plus the journal
+        suffix past it.
 
         Call on a *fresh* engine after re-registering definitions and
         programs; returns the number of completions replayed.
@@ -686,13 +679,29 @@ class Engine:
             # replay, so re-executed activities deterministically find
             # the scope gone and route to their rollback paths.
             scopes.recover()
-        if self._store is not None:
-            self._store.reopen()
-            replayed = replay_with_store(self.navigator, self._store)
-        else:
-            self._journal.reopen()
+        self._durable.reopen()
+        store = self._store
+        checkpoint, skipped, archived = None, 0, frozenset()
+        if store is not None:
+            checkpoint, skipped = store.latest_checkpoint()
+            archived = store.archive.ids()
+        if checkpoint is None:
             records = self._journal.records()
-            replayed = replay(self.navigator, records)
+        else:
+            records = self._journal.suffix(checkpoint.offset)
+        replayed, restored = replay(
+            self.navigator, records, checkpoint, archived
+        )
+        if store is not None:
+            store.last_recovery = {
+                "checkpoint": checkpoint.path if checkpoint else None,
+                "offset": checkpoint.offset if checkpoint else 0,
+                "skipped_checkpoints": skipped,
+                "suffix_records": len(records),
+                "archived_skipped": len(archived),
+                "restored_instances": restored,
+                "replayed": replayed,
+            }
         # Barrier: post-replay journaling resumes from a durable file.
         self._journal.flush()
         if self.obs.enabled:
@@ -739,12 +748,9 @@ class Engine:
         return self._store.status(clock=self.navigator.clock)
 
     def close(self) -> None:
-        if self._store is not None:
-            self._store.flush()
-            self._store.close()
-        elif self._journal is not None:
-            self._journal.flush()
-            self._journal.close()
+        if self._durable is not None:
+            self._durable.flush()
+            self._durable.close()
 
     @property
     def crashed(self) -> bool:
@@ -762,11 +768,12 @@ class Engine:
         raise again); the durable prefix stays replayable, so
         ``recover()`` on a fresh engine works exactly as after
         :meth:`crash`."""
+        if self._durable is not None:
+            self._durable.abandon()
+        self._mark_crashed()
+
+    def _mark_crashed(self) -> None:
         self._crashed = True
-        if self._store is not None:
-            self._store.abandon()
-        elif self._journal is not None:
-            self._journal.abandon()
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "wfms_engine_crashes_total", "Simulated machine failures"

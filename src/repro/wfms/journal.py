@@ -57,15 +57,12 @@ class Journal:
     disk write cannot leave memory claiming a record that was never
     durable.
 
-    Subclasses journaling a different domain override two class
-    attributes: ``record_types`` (the legal ``type`` values) and
+    A journal of a different domain is the same class with different
+    constructor data: ``record_types`` (the legal ``type`` values) and
     ``fault_scope`` (the injector site family — the engine journal
     consults ``journal.append``/``journal.fsync``, the broker's bus
     log ``buslog.append``/``buslog.fsync``).
     """
-
-    record_types = RECORD_TYPES
-    fault_scope = "journal"
 
     def __init__(
         self,
@@ -76,6 +73,8 @@ class Journal:
         batch_interval: float = 0.05,
         obs=None,
         injector=None,
+        record_types: Iterable[str] = RECORD_TYPES,
+        fault_scope: str = "journal",
     ):
         if sync not in SYNC_POLICIES:
             raise ValueError(
@@ -89,7 +88,15 @@ class Journal:
         self._batch_size = batch_size
         self._batch_interval = batch_interval
         self._injector = injector
+        self.record_types = frozenset(record_types)
+        self.fault_scope = fault_scope
         self._memory: list[dict[str, Any]] = []
+        # SegmentedJournal's bookkeeping, plain data here so the hot
+        # append path is one method for both classes: each memory row's
+        # global index, the next one, and where the active segment ends.
+        self._indices: list[int] | None = None
+        self._next_index = 0
+        self._rotate_at: int | None = None
         #: serialized-but-uncommitted lines (batch policy only)
         self._buffer: list[str] = []
         self._buffer_since: float | None = None
@@ -174,6 +181,15 @@ class Journal:
         self._memory.append(record)
         if self._obs_on:
             self._c_appends.inc()
+        if self._indices is not None:
+            self._indices.append(self._next_index)
+            self._next_index += 1
+            if (
+                self._rotate_at is not None
+                and self._next_index >= self._rotate_at
+                and self._file is not None
+            ):
+                self.rotate()
 
     def _fsync(self, reason: str) -> None:
         """One durability point; the injector may turn it into a

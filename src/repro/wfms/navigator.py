@@ -1349,6 +1349,13 @@ class Navigator:
         checkpoint time but resumed in the suffix go back to RUNNING
         first, exactly as full replay nets the suspend/resume pair out
         to running.
+
+        A block or subprocess activity restored RUNNING resumes where
+        ``_execute`` left it: its child instance was restored with it
+        and will finish it, so the parent's own completion record —
+        *derived* from the child's, and sitting in the suffix when the
+        child finished after the snapshot — is consumed and discarded
+        here, as ``_execute`` does when a full replay starts the child.
         """
         for instance in list(self._instances.values()):
             if (
@@ -1356,10 +1363,13 @@ class Navigator:
                 and instance.instance_id in cursor.resumed
             ):
                 self._move_state(instance, ProcessState.RUNNING)
-            if instance.state is not ProcessState.RUNNING:
-                continue
+            running = instance.state is ProcessState.RUNNING
             for ai in instance.activities.values():
-                if ai.state is not ActivityState.READY:
+                if ai.state is ActivityState.RUNNING:
+                    if ai.activity.kind is not ActivityKind.PROGRAM:
+                        cursor.take(instance.instance_id, ai.name, ai.attempt)
+                    continue
+                if not running or ai.state is not ActivityState.READY:
                     continue
                 if not ai.activity.is_manual:
                     self._enqueue(instance, ai.name)

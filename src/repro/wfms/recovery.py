@@ -45,15 +45,37 @@ from repro.wfms.navigator import Navigator
 _ROOT_ID = re.compile(r"^pi-(\d+)$")
 
 
-def replay(navigator: Navigator, records: list[dict[str, Any]]) -> int:
-    """Replay journal ``records`` into ``navigator``.
+def replay(
+    navigator: Navigator,
+    records: list[dict[str, Any]],
+    checkpoint=None,
+    archived: frozenset[str] = frozenset(),
+) -> tuple[int, int]:
+    """Replay journal ``records`` into a fresh ``navigator``.
 
-    Returns the number of activity completions consumed.  After replay
-    the navigator holds every pre-crash instance: finished ones are
-    finished, interrupted ones are RUNNING with their next activities
-    ready, suspended ones are suspended.
+    A plain journal is the whole story: ``records`` is every record, no
+    ``checkpoint``, nothing ``archived``.  A durable store passes the
+    newest :class:`~repro.store.snapshot.Checkpoint` that verified, the
+    journal suffix past its offset, and the archive's instance ids:
+    the snapshot is restored first and only the suffix is replayed,
+    skipping every record of an archived instance.
+
+    Equivalence to a full replay rests on three facts (DESIGN.md
+    "Durability"): the snapshot *is* the state full replay of records
+    ``[0, offset)`` produces (navigation is deterministic and the
+    snapshot was taken from exactly that navigator state); the suffix
+    is replayed by the very same mechanism; and archived instances —
+    whose records the cursor skips — are finished, so no live record
+    can reference them.  A torn or corrupt newest snapshot falls back
+    to the previous one with a longer suffix: strictly more replay,
+    never different state.
+
+    Returns ``(completions consumed, instances restored)``.  Afterwards
+    the navigator holds every pre-crash live instance: finished ones
+    are finished, interrupted ones are RUNNING with their next
+    activities ready, suspended ones are suspended.
     """
-    cursor = ReplayCursor(records)
+    cursor = ReplayCursor(records, archived=archived)
     total = cursor.pending()
     # The replay span joins no prior trace: it is the recovery run
     # itself.  Each replayed instance re-enters its *own* pre-crash
@@ -61,78 +83,8 @@ def replay(navigator: Navigator, records: list[dict[str, Any]]) -> int:
     span = navigator.obs.tracer.start_span(
         "recovery.replay",
         kind="recovery",
-        attributes={"records": len(records), "completions": total},
-    )
-    navigator.begin_replay(cursor)
-    try:
-        highest = 0
-        for start in cursor.process_starts:
-            match = _ROOT_ID.match(start["instance"])
-            if match:
-                highest = max(highest, int(match.group(1)))
-        navigator.set_sequence(highest)
-        for start in cursor.process_starts:
-            if start.get("parent_instance"):
-                continue  # child instances are re-created by their parents
-            navigator.start_process(
-                start["definition"],
-                start.get("input", {}),
-                starter=start.get("starter", ""),
-                instance_id=start["instance"],
-                version=start.get("version"),
-                trace_parent=start.get("trace"),
-            )
-            navigator.run()
-        if cursor.pending():
-            raise RecoveryError(
-                "%d journal completions were never consumed; the journal "
-                "does not match the registered definitions" % cursor.pending()
-            )
-        for instance_id in sorted(cursor.suspended):
-            instance = navigator.instance(instance_id)
-            if instance.state is ProcessState.RUNNING:
-                navigator.suspend(instance_id)
-    finally:
-        navigator.end_replay()
-        replayed = total - cursor.pending()
-        span.set_attribute("replayed", replayed)
-        span.finish()
-    return replayed
-
-
-def replay_with_store(navigator: Navigator, store) -> int:
-    """Checkpointed recovery: restore the latest durable snapshot and
-    replay only the journal suffix past its covered offset.
-
-    Equivalence to a full replay rests on three facts (DESIGN.md §11):
-    the snapshot *is* the state full replay of records ``[0, offset)``
-    produces (navigation is deterministic and the snapshot was taken
-    from exactly that navigator state); the suffix is replayed by the
-    very same mechanism full replay uses; and archived instances —
-    whose records the cursor skips — are finished, so no live record
-    can reference them.  A torn or corrupt newest snapshot falls back
-    to the previous one with a longer suffix: strictly more replay,
-    never different state.
-
-    Returns the number of activity completions consumed, and leaves a
-    summary in ``store.last_recovery``.
-    """
-    checkpoint, skipped = store.latest_checkpoint()
-    journal = store.journal
-    if checkpoint is not None:
-        suffix = journal.suffix(checkpoint.offset)
-        offset = checkpoint.offset
-    else:
-        suffix = journal.records()
-        offset = 0
-    archived = store.archive.ids()
-    cursor = ReplayCursor(suffix, archived=archived)
-    total = cursor.pending()
-    span = navigator.obs.tracer.start_span(
-        "recovery.replay",
-        kind="recovery",
         attributes={
-            "records": len(suffix),
+            "records": len(records),
             "completions": total,
             "checkpointed": checkpoint is not None,
         },
@@ -140,6 +92,7 @@ def replay_with_store(navigator: Navigator, store) -> int:
     navigator.begin_replay(cursor)
     restored = 0
     try:
+        highest = 0
         if checkpoint is not None:
             # Archive wins: an instance captured live in the snapshot
             # may have finished *and archived* within the suffix — its
@@ -163,16 +116,13 @@ def replay_with_store(navigator: Navigator, store) -> int:
                     ]
             restored = restore_state(navigator, state)
             navigator.requeue_after_restore(cursor)
-        highest = checkpoint.sequence if checkpoint is not None else 0
-        for start in cursor.process_starts:
-            match = _ROOT_ID.match(start["instance"])
-            if match:
-                highest = max(highest, int(match.group(1)))
+            highest = checkpoint.sequence
         # Roots that started *and* archived within the suffix have no
         # surviving process_started record (the cursor skips them), so
         # the archive must also advance the id sequence or a fresh
         # start_process could reuse an archived root's id.
-        for instance_id in archived:
+        started = [start["instance"] for start in cursor.process_starts]
+        for instance_id in (*started, *archived):
             match = _ROOT_ID.match(instance_id)
             if match:
                 highest = max(highest, int(match.group(1)))
@@ -206,13 +156,4 @@ def replay_with_store(navigator: Navigator, store) -> int:
         replayed = total - cursor.pending()
         span.set_attribute("replayed", replayed)
         span.finish()
-    store.last_recovery = {
-        "checkpoint": checkpoint.path if checkpoint is not None else None,
-        "offset": offset,
-        "skipped_checkpoints": skipped,
-        "suffix_records": len(suffix),
-        "archived_skipped": len(archived),
-        "restored_instances": restored,
-        "replayed": replayed,
-    }
-    return replayed
+    return replayed, restored

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.store import DurableStore
+from repro.store import Checkpoint, DurableStore
 from repro.tools.store import main
 from repro.wfms import Activity, Engine, ProcessDefinition
 
@@ -67,6 +67,21 @@ class TestCli:
         code, text = run_cli("compact", directory)
         assert code == 0
         assert "dropped 0 segment(s)" in text
+
+    def test_compact_stops_at_the_oldest_retained_checkpoint(self, tmp_path):
+        """The CLI compacts to the same floor the engine does online:
+        recovery may have to fall back to the older snapshot."""
+        directory = build_store_dir(tmp_path)
+        store = DurableStore(directory)
+        store.attach()
+        oldest, newest = [
+            Checkpoint.load(path).offset for path in store.checkpoint_files()
+        ]
+        store.close()
+        assert oldest < newest
+        code, text = run_cli("compact", directory)
+        assert code == 0
+        assert "compacted to offset %d:" % oldest in text
 
     def test_compact_without_checkpoint_fails_cleanly(self, tmp_path):
         directory = str(tmp_path / "store")

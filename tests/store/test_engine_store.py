@@ -2,6 +2,8 @@
 only the suffix, equals full-journal replay bit for bit, survives torn
 snapshots, and archives finished roots out of live memory."""
 
+import os
+
 import pytest
 
 from repro.errors import JournalError, NavigationError, WorkflowError
@@ -200,6 +202,33 @@ class TestCheckpointedRecovery:
         rebuilt.run()
         assert rebuilt.instance_state(fresh) == "finished"
 
+    def test_newest_checkpoint_corrupted_after_compaction(self, tmp_path):
+        """The newest checkpoint goes bad *after* it was written,
+        verified and compacted against.  The fallback snapshot needs
+        the journal from its own offset on, so compaction must have
+        stopped at the oldest retained checkpoint, not the newest."""
+        engine = build(tmp_path, every=1000)
+        in_flight = [engine.start_process("Manual", starter="ada")]
+        engine.checkpoint()
+        in_flight.append(engine.start_process("Manual", starter="ada"))
+        in_flight.append(engine.start_process("Manual", starter="ada"))
+        newest = engine.checkpoint()
+        in_flight.append(engine.start_process("Manual", starter="ada"))
+        engine.crash()
+        with open(newest.path, "w", encoding="utf-8") as handle:
+            handle.write('{"torn":')
+
+        rebuilt = build(tmp_path, every=1000)
+        rebuilt.recover()
+        assert rebuilt.store.last_recovery["skipped_checkpoints"] == 1
+        for iid in in_flight:
+            assert rebuilt.instance_state(iid) == "running"
+        for item in rebuilt.worklist("ada"):
+            rebuilt.claim(item.item_id, "ada")
+            rebuilt.start_item(item.item_id)
+        for iid in in_flight:
+            assert rebuilt.instance_state(iid) == "finished"
+
     def test_crash_during_compaction_preserves_journal(self, tmp_path):
         """An aborted compaction (pre-manifest-commit crash) must leave
         the full pre-compaction journal readable."""
@@ -220,6 +249,25 @@ class TestCheckpointedRecovery:
 
 
 class TestArchiveIntegration:
+    def test_archive_is_fsynced_before_the_snapshot_lands(
+        self, tmp_path, disk_events
+    ):
+        """A snapshot omits archived instances and compaction drops
+        their journal records, so under ``batch``/``never`` (where an
+        archive append only reaches the OS) the archive must be fsynced
+        before the checkpoint file is renamed into place."""
+        engine = build(tmp_path, every=1000, sync="batch")
+        engine.start_process("Flow")
+        engine.run()  # finished: archived, evicted, not yet fsynced
+        assert engine.store.archive.roots() == ["pi-0001"]
+        archive_fd = engine.store.archive._file.fileno()
+        del disk_events[:]
+        checkpoint = engine.checkpoint()
+        landed = disk_events.index(
+            ("replace", os.path.basename(checkpoint.path))
+        )
+        assert ("fsync", archive_fd) in disk_events[:landed]
+
     def test_finished_roots_leave_live_memory(self, tmp_path):
         engine = build(tmp_path)
         iid = engine.start_process("Flow")

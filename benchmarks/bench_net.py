@@ -1,6 +1,6 @@
-"""Socket-transport benchmarks: request/reply cost and open-loop tail.
+"""Socket-transport benchmarks: request/reply cost.
 
-Three numbers the performance gate tracks:
+Two numbers the performance gate tracks:
 
 * ``request_reply_throughput`` — bus RPC round-trips/sec over a live
   broker (send → receive → ack cycles on one connection, three
@@ -11,11 +11,10 @@ Three numbers the performance gate tracks:
   broker with the write-ahead bus log armed (``sync="batch"``): every
   send and ack is journaled before the reply frame goes out.  The
   gap to the in-memory number is the committed durability overhead
-  README.md quotes;
-* ``open_loop_p99_seconds`` — tail latency from the open-loop traffic
-  driver (:mod:`repro.workloads.traffic`) at a rate the broker
-  sustains on one core.  The gate stores its reciprocal so "bigger is
-  better" holds like every other metric.
+  README.md quotes.
+
+End-to-end open-loop latency is the ledger's ``saga5_open`` workload
+(``python3 bench/run.py``).
 
 Run standalone::
 
@@ -31,12 +30,6 @@ import time
 
 #: send→receive→ack cycles per throughput measurement.
 MESSAGES = 300
-
-#: Open-loop point: modest rate, fixed spacing — the healthy regime;
-#: overload behaviour is the chaos/test suite's business, the gate
-#: tracks the no-queueing tail.
-OPEN_LOOP_RATE = 150.0
-OPEN_LOOP_REQUESTS = 150
 
 
 def request_reply_throughput(messages: int = MESSAGES) -> float:
@@ -89,25 +82,6 @@ def durable_request_reply_throughput(
     return (3 * messages) / elapsed
 
 
-def open_loop_p99_seconds(
-    rate: float = OPEN_LOOP_RATE, requests: int = OPEN_LOOP_REQUESTS
-) -> float:
-    """p99 request→reply latency (seconds) at a sustainable rate."""
-    from repro.net.client import SocketBus
-    from repro.net.server import BusServerThread
-    from repro.workloads.traffic import run_open_loop
-
-    with BusServerThread() as broker:
-        address = broker.address
-        report = run_open_loop(
-            lambda name: SocketBus(*address, name=name),
-            rate=rate,
-            requests=requests,
-            distribution="fixed",
-        )
-    return report["latency"]["p99_ms"] / 1e3
-
-
 if __name__ == "__main__":
     volatile = request_reply_throughput()
     durable = durable_request_reply_throughput()
@@ -116,4 +90,3 @@ if __name__ == "__main__":
         "durable_request_reply  %10.1f round-trips/sec (%.1f%% overhead)"
         % (durable, 100.0 * (1.0 - durable / volatile))
     )
-    print("open_loop_p99          %10.3f ms" % (1e3 * open_loop_p99_seconds()))

@@ -1,33 +1,21 @@
-"""SHARD — sharded-engine throughput and multiprocess scaling.
+"""SHARD — sharded-engine throughput.
 
-Two scenarios over the same large-N workload as
-``bench_engine_throughput`` (200 roots of a 3x3 DAG):
+The in-process :class:`~repro.wfms.sharding.ShardedEngine` partitions
+the same large-N workload as ``bench_engine_throughput`` (200 roots of
+a 3x3 DAG) over N shards under the deterministic round-robin pump —
+measuring partitioning/pump overhead against the single-engine
+``engine.concurrent_200x3x3`` metric.
 
-* the in-process :class:`~repro.wfms.sharding.ShardedEngine`
-  partitioning the batch over N shards under the deterministic
-  round-robin pump — measures partitioning/pump overhead against the
-  single-engine ``engine.concurrent_200x3x3`` metric;
-
-* the :class:`~repro.wfms.sharding.MultiprocessShardPool` backend
-  pushing the same batch through 1/2/4 worker processes — measures
-  real-core scaling (entirely host-dependent: on a single-core
-  container the sweep is flat and the speedup hovers around 1.0x).
-
-Shared with ``compare.py`` (``engine.sharded_*`` metrics).
+Shared with ``compare.py`` (the ``engine.sharded_200x3x3`` metric).
 """
 
-import time
-
-from repro.wfms.sharding import MultiprocessShardPool, ShardedEngine
+from repro.wfms.sharding import ShardedEngine, shard_of
 from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-from _helpers import print_table
 
 SHARDED_INSTANCES = 200
 SHARDED_SHAPE = (3, 3)
 SHARDED_SEED = 9
 SHARDED_SHARDS = 4
-MP_SWEEP = (1, 2, 4)
 
 
 def sharded_definition():
@@ -60,50 +48,8 @@ def run_sharded_batch(sharded, definition, count=SHARDED_INSTANCES):
     return ids
 
 
-def mp_engine_factory(index, num_shards):
-    """Top-level (picklable) per-worker engine factory for the
-    multiprocessing backend — each worker builds its own registry."""
-    from repro.wfms.engine import Engine
-
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, _dag_work)
-    engine.register_definition(sharded_definition())
-    return engine
-
-
-def mp_throughput(num_shards, count=SHARDED_INSTANCES):
-    """activities/sec pushing ``count`` DAG roots through an N-worker
-    multiprocess pool.  Timed after the workers are up (one empty run
-    as the readiness barrier), so the metric covers batch dispatch,
-    navigation and the result sweep — not process spawn."""
-    layers, width = SHARDED_SHAPE
-    name = sharded_definition().name
-    with MultiprocessShardPool(num_shards, mp_engine_factory) as pool:
-        pool.run()
-        start = time.perf_counter()
-        pool.start_batch(name, count)
-        pool.run()
-        elapsed = time.perf_counter() - start
-        finished = pool.finished_roots()
-    assert finished == count, finished
-    return layers * width * count / elapsed
-
-
-def mp_scaling_sweep(workers=MP_SWEEP, count=SHARDED_INSTANCES, repeats=3):
-    """{worker count: activities/sec} over the multiprocess backend.
-
-    Best-of-``repeats`` per point: pool throughput on throttled/shared
-    hosts swings hard run-to-run, and a single sample can make the
-    sweep look like scaling (or collapse) that is not there."""
-    return {
-        n: max(mp_throughput(n, count) for __ in range(repeats))
-        for n in workers
-    }
-
-
 def test_sharded_batch_matches_single_engine(benchmark):
     """Every root finishes, spread over all shards."""
-    sharded, definition = sharded_setup()
 
     def run_batch():
         sharded, definition = sharded_setup()
@@ -112,21 +58,5 @@ def test_sharded_batch_matches_single_engine(benchmark):
     sharded, ids = benchmark(run_batch)
     assert len(ids) == SHARDED_INSTANCES
     assert all(sharded.instance_state(i) == "finished" for i in ids)
-    populated = [
-        s for s in sharded.snapshot()["shards"] if s["live_instances"] >= 0
-    ]
-    assert len(populated) == SHARDED_SHARDS
-
-
-def test_mp_scaling_table(benchmark):
-    sweep = mp_scaling_sweep(count=60)
-    base = sweep[MP_SWEEP[0]]
-    print_table(
-        "SHARD: multiprocess scaling (60 roots of 3x3 DAG)",
-        ["workers", "activities/sec", "speedup vs 1"],
-        [
-            (str(n), "%.0f" % tp, "%.2fx" % (tp / base))
-            for n, tp in sweep.items()
-        ],
-    )
-    benchmark(lambda: mp_throughput(1, count=20))
+    owners = {shard_of(i, SHARDED_SHARDS) for i in ids}
+    assert owners == set(range(SHARDED_SHARDS))

@@ -282,8 +282,7 @@ def measure_engine_sharded() -> float:
     Against ``engine.concurrent_200x3x3`` this measures what the
     sharded pump costs (or saves) on one core: the per-shard engines
     run smaller ready-heaps and instance tables, the cluster adds the
-    round-robin scheduler on top.  Real-core scaling is the
-    multiprocess sweep's job, not this metric's.
+    round-robin scheduler on top.
     """
     from bench_sharding import (
         SHARDED_INSTANCES,
@@ -304,33 +303,6 @@ def measure_engine_sharded() -> float:
         run_sharded_batch(sharded, definition)
 
     return _best_throughput(units, run, setup)
-
-
-def measure_sharded_scaling() -> float:
-    """multiprocess speedup: 4-worker throughput over 1-worker.
-
-    Entirely host-dependent — the workers are real processes, so the
-    ratio tracks available cores (about 1.0 on a single-core host).
-    The snapshot is only meaningful against the same host class, like
-    every other metric here.
-    """
-    from bench_sharding import mp_throughput
-
-    # Best-of-each before the ratio: pairing per-trial ratios lets one
-    # slow denominator sample masquerade as speedup.
-    tp1 = max(mp_throughput(1) for __ in range(3))
-    tp4 = max(mp_throughput(4) for __ in range(3))
-    return tp4 / tp1
-
-
-def sweep_shard_scaling() -> dict[str, float]:
-    """{worker count: activities/sec} for the committed scaling sweep."""
-    from bench_sharding import mp_scaling_sweep
-
-    return {
-        str(workers): round(value, 1)
-        for workers, value in mp_scaling_sweep().items()
-    }
 
 
 def measure_tx_scope_chain() -> float:
@@ -433,25 +405,10 @@ def measure_net_durable_request_reply() -> float:
     return best
 
 
-def measure_net_open_loop_p99() -> float:
-    """reciprocal p99 latency (1/sec) from the open-loop driver at a
-    sustainable rate.
-
-    Stored inverted so the gate's higher-is-better comparison holds: a
-    fatter tail (bigger p99) is a smaller metric.  Regresses if broker
-    queueing or scheduling adds tail latency in the healthy regime.
-    """
-    from bench_net import open_loop_p99_seconds
-
-    best_p99 = min(open_loop_p99_seconds() for __ in range(3))
-    return 1.0 / best_p99
-
-
 METRICS = {
     "engine.dag_16x16.activities_per_sec": measure_engine_large_dag,
     "engine.concurrent_200x3x3.activities_per_sec": measure_engine_concurrent,
     "engine.sharded_200x3x3.activities_per_sec": measure_engine_sharded,
-    "engine.sharded_scaling_4.speedup_x": measure_sharded_scaling,
     "worklist.offer_600.items_per_sec": measure_worklist_offer,
     "worklist.claim_600_round_robin.claims_per_sec": measure_worklist_claim,
     "conditions.compiled_mix.evals_per_sec": measure_conditions_compiled,
@@ -475,16 +432,13 @@ METRICS = {
     "net.durable_request_reply.roundtrips_per_sec": (
         measure_net_durable_request_reply
     ),
-    "net.open_loop_p99.inv_sec": measure_net_open_loop_p99,
 }
 
 
 def measure_all(metrics: dict | None = None) -> dict[str, float]:
     results = {}
     for name, fn in (metrics or METRICS).items():
-        # Ratio metrics (…_x) need more resolution than rates do.
-        digits = 3 if name.endswith("_x") else 1
-        results[name] = round(fn(), digits)
+        results[name] = round(fn(), 1)
         print("measured  %-50s %12.1f" % (name, results[name]))
     return results
 
@@ -524,12 +478,6 @@ def main(argv: list[str] | None = None) -> int:
         "with --update, unmatched metrics are carried over from the "
         "existing snapshot instead of being re-measured",
     )
-    parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="with --update: also record the multiprocess shard-scaling "
-        "sweep (1/2/4 workers) under the snapshot's 'sweeps' key",
-    )
     args = parser.parse_args(argv)
 
     selected = METRICS
@@ -559,10 +507,6 @@ def main(argv: list[str] | None = None) -> int:
         metrics: dict[str, float] = (
             dict(existing.get("metrics", {})) if args.filter else {}
         )
-        # The sweep measures first, while the host is still cold — a
-        # multi-minute measurement tail runs hot enough to distort a
-        # per-worker-count comparison.
-        scaling_sweep = sweep_shard_scaling() if args.sweep else None
         fresh: dict[str, float] = {}
         for sweep in range(max(1, args.runs)):
             print("-- update sweep %d/%d" % (sweep + 1, max(1, args.runs)))
@@ -574,14 +518,6 @@ def main(argv: list[str] | None = None) -> int:
             or existing.get("tolerance", DEFAULT_TOLERANCE),
             "metrics": metrics,
         }
-        if existing.get("sweeps"):
-            snapshot["sweeps"] = existing["sweeps"]
-        if scaling_sweep is not None:
-            sweeps = dict(snapshot.get("sweeps", {}))
-            sweeps["engine.sharded_mp.activities_per_sec_by_workers"] = (
-                scaling_sweep
-            )
-            snapshot["sweeps"] = sweeps
         with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -615,19 +551,6 @@ def main(argv: list[str] | None = None) -> int:
         floor = baseline * (1.0 - tolerance)
         delta = (now - baseline) / baseline
         status = "ok" if now >= floor else "REGRESSED"
-        if (
-            name == "engine.sharded_scaling_4.speedup_x"
-            and now < floor
-            and (os.cpu_count() or 1) == 1
-        ):
-            # A 4-worker speedup needs 4 cores; on a single-core host
-            # the ratio is ~1.0 by physics, not by regression.  Report
-            # without gating rather than fail every laptop-CI run.
-            print(
-                "%-9s %-50s %12.1f vs %12.1f (single-core host, not gated)"
-                % ("skipped", name, now, baseline)
-            )
-            continue
         print(
             "%-9s %-50s %12.1f vs %12.1f (%+6.1f%%)"
             % (status, name, now, baseline, 100.0 * delta)

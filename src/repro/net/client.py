@@ -76,8 +76,8 @@ class SocketBus:
     #: process-wide session nonce: two clients sharing a ``name`` must
     #: not share an op-id namespace on the broker's dedup table.
     #: ``itertools.count`` hands out values atomically, so clients
-    #: constructed concurrently from different threads (the traffic
-    #: driver does) can never draw the same nonce.
+    #: constructed concurrently from different threads can never draw
+    #: the same nonce.
     _session_seq = itertools.count(1)
 
     def __init__(

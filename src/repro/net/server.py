@@ -949,7 +949,7 @@ def _broker_main(connection, config: dict[str, Any]) -> None:
 
 class BrokerProcess:
     """A broker in its own OS process (the multi-process chaos and
-    traffic configurations).
+    broker-bounce configurations).
 
     ``rules``/``seed`` build a server-side
     :class:`~repro.resilience.faults.FaultInjector` in the child —

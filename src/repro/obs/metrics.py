@@ -227,9 +227,9 @@ class Histogram(_Instrument):
         """Estimated ``q``-quantile (0 <= q <= 1) from the bucket
         counts, linearly interpolated within the covering bucket —
         the Prometheus ``histogram_quantile`` estimate, computed
-        locally so the traffic driver can report p50/p99 without an
-        external system.  Values beyond the last finite bucket clamp
-        to that bucket's upper bound; an empty histogram reports 0.
+        locally so p50/p99 can be read without an external system.
+        Values beyond the last finite bucket clamp to that bucket's
+        upper bound; an empty histogram reports 0.
         """
         if not 0.0 <= q <= 1.0:
             raise ObservabilityError("quantile q must be in [0, 1]")

@@ -31,7 +31,6 @@ from repro.wfms.messaging import MessageBus
 from repro.wfms.distributed import WorkflowNode, run_cluster
 from repro.wfms.sharding import (
     ANY_SHARD,
-    MultiprocessShardPool,
     ShardedEngine,
     ShardNode,
     shard_of,
@@ -53,7 +52,6 @@ __all__ = [
     "DefinitionRegistry",
     "Engine",
     "MessageBus",
-    "MultiprocessShardPool",
     "ShardNode",
     "ShardedEngine",
     "SimulationReport",

@@ -41,12 +41,6 @@ whole-cluster replay.  Shared services (e.g. the ``tx_scopes`` scope
 manager) are re-installed *after* replay and only the crashed shard's
 open scopes are rolled back, so a healthy shard's scopes survive a
 neighbour's recovery.
-
-**Phase 2 (multi-core).**  :class:`MultiprocessShardPool` runs one
-engine per OS process behind a small pipe protocol — same partitioned
-model, real parallelism on multi-core hosts.  It is opt-in, carries
-shard-local workloads only (cross-shard requests need the in-process
-backend) and is excluded from chaos determinism assertions.
 """
 
 from __future__ import annotations
@@ -473,236 +467,3 @@ class ShardedEngine:
         for node in self.shards:
             if not node.engine.crashed:
                 node.engine.close()
-
-
-# ----------------------------------------------------------------------
-# multiprocessing pump backend (phase 2, opt-in)
-# ----------------------------------------------------------------------
-
-
-def _shard_worker(connection, index: int, num_shards: int, factory) -> None:
-    """Worker-process loop: build the shard engine via
-    ``factory(index, num_shards)`` and serve pipe commands until
-    ``close``/EOF.  Errors are reported, never crash the worker."""
-    engine = factory(index, num_shards)
-    sequence = 0
-    try:
-        while True:
-            try:
-                command = connection.recv()
-            except EOFError:
-                break
-            op = command[0]
-            try:
-                if op == "start_batch":
-                    __, process, count, input_values, starter = command
-                    for __i in range(count):
-                        sequence += 1
-                        engine.start_process(
-                            process,
-                            input_values,
-                            starter=starter,
-                            instance_id="pi-s%02d-%06d" % (index, sequence),
-                        )
-                    connection.send(("ok", count))
-                elif op == "run":
-                    connection.send(("ok", engine.run()))
-                elif op == "drain":
-                    connection.send(("ok", engine.drain()))
-                elif op == "finished_roots":
-                    finished = engine.navigator.instance_ids(
-                        state="finished"
-                    )
-                    connection.send(
-                        ("ok", sum(1 for iid in finished if "/" not in iid))
-                    )
-                elif op == "instance_state":
-                    connection.send(("ok", engine.instance_state(command[1])))
-                elif op == "close":
-                    connection.send(("ok", None))
-                    break
-                else:
-                    connection.send(("error", "unknown command %r" % (op,)))
-            except Exception as exc:  # reported to the parent
-                connection.send(
-                    ("error", "%s: %s" % (type(exc).__name__, exc))
-                )
-    finally:
-        try:
-            engine.close()
-        except Exception:
-            pass
-        connection.close()
-
-
-#: Live pools, weakly held: an abandoned (never closed) pool must not
-#: be kept alive by the registry, but one that is still reachable at
-#: interpreter exit gets its workers terminated by the atexit sweep —
-#: otherwise an aborted test run strands child processes.
-_LIVE_POOLS: Any = None
-
-
-def _register_pool(pool: "MultiprocessShardPool") -> None:
-    global _LIVE_POOLS
-    if _LIVE_POOLS is None:
-        import atexit
-        import weakref
-
-        _LIVE_POOLS = weakref.WeakSet()
-        atexit.register(_terminate_live_pools)
-    _LIVE_POOLS.add(pool)
-
-
-def _terminate_live_pools() -> None:
-    if _LIVE_POOLS is None:
-        return
-    for pool in list(_LIVE_POOLS):
-        pool.terminate()
-
-
-class MultiprocessShardPool:
-    """The multi-core pump backend: one engine per OS process.
-
-    Same partitioned-engines model as :class:`ShardedEngine`, with the
-    scheduler replaced by real parallelism — every broadcast command
-    is pipelined (sent to all workers, then collected), so shards
-    execute their slices concurrently.  ``factory(index, num_shards)``
-    must be a picklable top-level callable returning a fully
-    registered :class:`~repro.wfms.engine.Engine`.
-
-    Phase-2 scope: shard-local workloads only (cross-shard remote
-    activities need the in-process backend) and excluded from chaos
-    determinism assertions — wall-clock interleaving across OS
-    processes is inherently non-deterministic.
-    """
-
-    def __init__(self, num_shards: int, engine_factory, *, start_method=None):
-        import multiprocessing
-
-        if num_shards < 1:
-            raise WorkflowError("num_shards must be >= 1")
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else methods[0]
-        context = multiprocessing.get_context(start_method)
-        self.num_shards = num_shards
-        self._closed = False
-        self._connections = []
-        self._processes = []
-        for index in range(num_shards):
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_shard_worker,
-                args=(child_end, index, num_shards, engine_factory),
-                daemon=True,
-            )
-            process.start()
-            child_end.close()
-            self._connections.append(parent_end)
-            self._processes.append(process)
-        _register_pool(self)
-
-    def _collect(self, indexes) -> list[Any]:
-        results = []
-        for index in indexes:
-            kind, payload = self._connections[index].recv()
-            if kind == "error":
-                raise WorkflowError("shard %d: %s" % (index, payload))
-            results.append(payload)
-        return results
-
-    def broadcast(self, *command) -> list[Any]:
-        """Send one command to every shard, then collect all replies —
-        the pipelining that lets shards run concurrently."""
-        for connection in self._connections:
-            connection.send(command)
-        return self._collect(range(self.num_shards))
-
-    def start_batch(
-        self,
-        process: str,
-        total: int,
-        input_values: dict[str, Any] | None = None,
-        *,
-        starter: str = "",
-    ) -> int:
-        """Partition ``total`` root starts across shards (deterministic
-        near-even split) and start them all."""
-        base, extra = divmod(total, self.num_shards)
-        started = 0
-        for index in range(self.num_shards):
-            count = base + (1 if index < extra else 0)
-            self._connections[index].send(
-                ("start_batch", process, count, input_values, starter)
-            )
-        for count in self._collect(range(self.num_shards)):
-            started += count
-        return started
-
-    def run(self) -> int:
-        return sum(self.broadcast("run"))
-
-    def drain(self) -> int:
-        return sum(self.broadcast("drain"))
-
-    def finished_roots(self) -> int:
-        return sum(self.broadcast("finished_roots"))
-
-    def instance_state(self, index: int, instance_id: str) -> str:
-        self._connections[index].send(("instance_state", instance_id))
-        return self._collect([index])[0]
-
-    def close(self) -> None:
-        """Orderly shutdown: ask every worker to exit, join, escalate
-        to terminate only for stragglers.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        _LIVE_POOLS.discard(self)
-        for connection in self._connections:
-            try:
-                connection.send(("close",))
-            except (BrokenPipeError, OSError):
-                continue
-        for connection in self._connections:
-            try:
-                connection.recv()
-            except (EOFError, OSError):
-                pass
-            connection.close()
-        for process in self._processes:
-            process.join(timeout=10)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-
-    def terminate(self) -> None:
-        """Hard teardown: kill every worker without the close
-        handshake — the abnormal-exit path (atexit, test teardown
-        after a pipe wedged).  Idempotent, never raises."""
-        self._closed = True
-        _LIVE_POOLS.discard(self)
-        for connection in self._connections:
-            try:
-                connection.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-
-    def alive_workers(self) -> int:
-        """How many worker processes are still running (0 after a
-        clean close or terminate) — the leak check."""
-        return sum(1 for process in self._processes if process.is_alive())
-
-    def __enter__(self) -> "MultiprocessShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -303,6 +303,66 @@ def test_resume_reregisters_in_flight_claims(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a send loop across a SIGKILL bounce
+# ---------------------------------------------------------------------------
+
+
+def test_open_loop_survives_broker_bounce(tmp_path):
+    """A paced send loop keeps going when the durable broker is
+    SIGKILLed and restarted underneath it: the client reconnects, op-id
+    dedup absorbs the replayed send, and every send that returned is in
+    the queue exactly once afterwards."""
+    import collections
+    import threading
+
+    from repro.net import BrokerProcess
+
+    durable = str(tmp_path / "broker")
+    holder = {"proc": BrokerProcess(durable_dir=durable, port=0)}
+    host, port = holder["proc"].address
+
+    def bounce():
+        time.sleep(0.2)
+        holder["proc"].kill()
+        holder["proc"] = BrokerProcess(durable_dir=durable, port=port)
+
+    bouncer = threading.Thread(target=bounce, daemon=True)
+    bouncer.start()
+    try:
+        admitted = []
+        with SocketBus(
+            host, port, name="sender", connect_retries=8, backoff=0.02
+        ) as bus:
+            for n in range(120):
+                try:
+                    bus.send("work", {"n": n})
+                    admitted.append(n)
+                except ConnectionLost:
+                    # outage outlived the reconnect budget: counted as
+                    # not admitted, never hung
+                    pass
+                time.sleep(1 / 300)
+        bouncer.join(timeout=10)
+        drained = collections.Counter()
+        with SocketBus(host, port, name="control") as control:
+            assert control.server_info["epoch"] == 2  # bounced exactly once
+            while True:
+                taken = control.receive("work")
+                if taken is None:
+                    break
+                msg_id, body = taken
+                drained[body["n"]] += 1
+                control.ack("work", msg_id)
+        # nothing admitted was lost, nothing replayed was double-applied
+        assert all(drained[n] == 1 for n in admitted)
+        assert set(drained.values()) == {1}
+        assert len(admitted) >= 100
+    finally:
+        bouncer.join(timeout=10)
+        holder["proc"].close()
+
+
+# ---------------------------------------------------------------------------
 # heartbeats and reaping (satellite 2)
 # ---------------------------------------------------------------------------
 

@@ -95,6 +95,37 @@ class TestHistogram:
         with pytest.raises(ObservabilityError):
             Histogram("h", "", buckets=(10.0, 1.0))
 
+    def test_quantile_interpolates_within_buckets(self):
+        histogram = Histogram(buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 1.5, 1.5, 3.0):
+            histogram.observe(value)
+        # p50: target 2.0 of 4 observations -> upper edge of (1, 2] bucket
+        assert histogram.quantile(0.5) == pytest.approx(1.5, abs=0.51)
+        assert histogram.quantile(0.0) == pytest.approx(0.0, abs=1.01)
+        # p100 lands in the (2, 4] bucket
+        assert 2.0 <= histogram.quantile(1.0) <= 4.0
+        # monotone in q
+        quantiles = [histogram.quantile(q / 10) for q in range(11)]
+        assert quantiles == sorted(quantiles)
+
+    def test_quantile_edge_cases(self):
+        histogram = Histogram(buckets=(1.0, 2.0))
+        assert histogram.quantile(0.99) == 0.0  # empty
+        histogram.observe(10.0)  # overflow bucket only
+        assert histogram.quantile(0.5) == 2.0  # clamps to last finite edge
+        with pytest.raises(ObservabilityError):
+            histogram.quantile(1.5)
+
+    def test_quantile_tracks_known_distribution(self):
+        # exponential latency buckets: 0.2 ms to ~28 s
+        histogram = Histogram(buckets=tuple(0.0002 * 1.5**k for k in range(30)))
+        for i in range(1000):
+            histogram.observe(0.001 + (i % 100) * 0.0001)  # 1ms..11ms uniform
+        p50 = histogram.quantile(0.50)
+        p99 = histogram.quantile(0.99)
+        assert 0.004 < p50 < 0.009  # around 6ms
+        assert 0.009 < p99 < 0.016  # near the top
+
 
 class TestRegistry:
     def test_idempotent_create(self):

@@ -24,7 +24,7 @@ from repro.resilience import FaultInjector, InjectedCrash, chaos_rules
 from repro.resilience.faults import FaultRule
 from repro.tx import SimDatabase
 from repro.wfms.sharding import ShardedEngine
-from repro.workloads.sharded_demo import (
+from tests.fixtures.sharded_demo import (
     configure_sharded_saga,
     saga_outcome,
 )

@@ -1,6 +1,5 @@
 """Sharded execution: partitioning, cross-shard calls, deterministic
-scheduling, per-shard recovery, merged monitoring, and the
-multiprocess pump backend."""
+scheduling, per-shard recovery and merged monitoring."""
 
 import pytest
 
@@ -11,14 +10,13 @@ from repro.wfms import (
     Activity,
     DataType,
     Engine,
-    MultiprocessShardPool,
     ProcessDefinition,
     ShardedEngine,
     VariableDecl,
     shard_of,
 )
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT
-from repro.workloads.sharded_demo import configure_sharded_math
+from tests.fixtures.sharded_demo import configure_sharded_math
 
 
 def register_flow(sharded_or_engine):
@@ -300,30 +298,6 @@ class TestMonitoringIndexes:
         assert navigator.queue_depths() == {"ready": 0, "delayed": 0}
 
 
-def _pool_factory(index, num_shards):
-    engine = Engine()
-    register_flow(engine)
-    return engine
-
-
-class TestMultiprocessPool:
-    def test_batch_runs_across_workers(self):
-        with MultiprocessShardPool(2, _pool_factory) as pool:
-            assert pool.start_batch("Flow", 10, {"N": 1}) == 10
-            pool.run()
-            assert pool.finished_roots() == 10
-            assert pool.instance_state(0, "pi-s00-000001") == "finished"
-
-    def test_worker_errors_propagate(self):
-        with MultiprocessShardPool(1, _pool_factory) as pool:
-            with pytest.raises(WorkflowError, match="shard 0"):
-                pool.start_batch("NoSuchProcess", 1)
-
-    def test_rejects_empty_pool(self):
-        with pytest.raises(WorkflowError):
-            MultiprocessShardPool(0, _pool_factory)
-
-
 class TestShardsMonitorView:
     def test_render_shards_from_snapshot_json(self, tmp_path, capsys):
         import json
@@ -346,64 +320,3 @@ class TestShardsMonitorView:
         path.write_text(json.dumps(snapshot))
         assert main(["shards", str(path)]) == 0
         assert "SHARDS (2)" in capsys.readouterr().out
-
-
-class TestPoolWorkerCleanup:
-    """No worker process may survive its pool — whichever way the pool
-    dies (clean close, hard terminate, or abandoned until the atexit
-    sweep)."""
-
-    @staticmethod
-    def _assert_all_dead(pids):
-        import os
-        import time
-
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            alive = []
-            for pid in pids:
-                try:
-                    os.kill(pid, 0)
-                    alive.append(pid)
-                except ProcessLookupError:
-                    pass
-            if not alive:
-                return
-            time.sleep(0.05)
-        pytest.fail("worker processes survived teardown: %s" % alive)
-
-    def test_close_reaps_every_worker_and_is_idempotent(self):
-        pool = MultiprocessShardPool(2, _pool_factory)
-        pids = [process.pid for process in pool._processes]
-        assert pool.alive_workers() == 2
-        pool.close()
-        pool.close()  # second close is a no-op, not an error
-        assert pool.alive_workers() == 0
-        self._assert_all_dead(pids)
-
-    def test_terminate_kills_without_the_close_handshake(self):
-        pool = MultiprocessShardPool(2, _pool_factory)
-        pids = [process.pid for process in pool._processes]
-        pool.terminate()  # abnormal path: no protocol, just teardown
-        pool.terminate()  # idempotent
-        assert pool.alive_workers() == 0
-        self._assert_all_dead(pids)
-        # a close after terminate must not hang on dead pipes
-        pool.close()
-
-    def test_atexit_sweep_reaps_abandoned_pools(self):
-        from repro.wfms import sharding
-
-        pool = MultiprocessShardPool(2, _pool_factory)
-        pids = [process.pid for process in pool._processes]
-        # abandoned: nobody called close(); the registered sweep is
-        # what stands between this and two stranded children
-        assert pool in sharding._LIVE_POOLS
-        sharding._terminate_live_pools()
-        assert pool.alive_workers() == 0
-        self._assert_all_dead(pids)
-        # closed pools leave the registry, so the sweep won't touch
-        # (or double-join) them
-        with MultiprocessShardPool(1, _pool_factory) as tracked:
-            assert tracked in sharding._LIVE_POOLS
-        assert tracked not in sharding._LIVE_POOLS

@@ -1,16 +1,14 @@
 """FLOW — the durable decorator front end (``repro.flow``).
 
-Two claims, one per measured number:
+**Replay is cheap.**  Each workflow attempt re-runs the Python body
+from the top and answers every already-journaled step from the journal
+map — an n-step flow performs O(n^2) replays, so replay must be a dict
+probe, not a re-execution.  The table reports journal replays/sec;
+``compare.py`` gates it.
 
-* **Replay is cheap.**  Each workflow attempt re-runs the Python body
-  from the top and answers every already-journaled step from the
-  journal map — an n-step flow performs O(n^2) replays, so replay must
-  be a dict probe, not a re-execution.  The table reports journal
-  replays/sec; ``compare.py`` gates it.
-* **Zero overhead when off.**  Flows are opt-in: an engine without
-  ``install_flows`` has no flow service, no ``flow_drive`` program,
-  and no per-activity hook.  ``compare.py`` gates the flow-less 8x8
-  DAG throughput so the front end can never tax plain workflows.
+Flows are opt-in: an engine without ``install_flows`` has no flow
+service, no ``flow_drive`` program and no per-activity hook, so
+``compare.py``'s ``engine.dag_8x8`` row gates the flow-less path.
 """
 
 import time
@@ -64,29 +62,6 @@ def step_replay_throughput(flows=FLOWS):
     return replayed / elapsed
 
 
-def flow_disabled_dag_throughput(runs=30):
-    """activities/sec on the 8x8 DAG with *no* flow runtime installed.
-
-    Flows ride ordinary definitions and a dedicated program; an engine
-    that never calls ``install_flows`` must run plain workflows at
-    full speed.  This number regresses if the front end ever grows a
-    hook on the navigator hot path.
-    """
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    layers, width = 8, 8
-    definition = random_dag_process(layers=layers, width=width, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    engine.run_process(definition.name)  # warmup
-    start = time.perf_counter()
-    for __ in range(runs):
-        assert engine.run_process(definition.name).finished
-    elapsed = time.perf_counter() - start
-    return layers * width * runs / elapsed
-
-
 def test_replay_scales_quadratically_but_stays_cheap():
     """The replay-cost claim: doubling the step count quadruples the
     replays but the per-replay cost stays flat (same order)."""
@@ -134,14 +109,3 @@ def test_step_replay_throughput(benchmark):
 
     benchmark(one_flow)
     assert rt.counters["steps_replayed_loop"] > 0
-
-
-def test_flow_disabled_dag_throughput(benchmark):
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    definition = random_dag_process(layers=8, width=8, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    result = benchmark(lambda: engine.run_process(definition.name))
-    assert result.finished

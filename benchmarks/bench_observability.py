@@ -6,7 +6,8 @@ Two questions, one per test group:
   carry the instrumentation hooks to the pre-observability engine?
   The design goal is "one attribute read per guarded block" — the
   disabled throughput must stay within measurement noise of the
-  baseline; ``compare.py`` gates exactly this number.
+  baseline; ``compare.py`` gates exactly this number as
+  ``engine.dag_8x8``.
 * **Enabled**: what does full instrumentation (metrics + spans +
   hooks) cost when switched on?  This is informational — enabled
   observability is allowed to cost — but the table keeps the factor

@@ -6,7 +6,7 @@ Two questions, one per test group:
   policies must run at the pre-resilience throughput.  The guards are
   one ``None``/emptiness test per site (program invocation, journal
   append/fsync, bus send, completion bookkeeping); ``compare.py``
-  gates exactly this number.
+  gates the plain 8x8 DAG as ``engine.dag_8x8``.
 * **Installed-but-idle**: an injector whose rules never match and a
   retry policy that never triggers — the bookkeeping cost of having
   the machinery armed.  Informational, but keeps the factor honest.

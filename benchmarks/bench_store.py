@@ -176,36 +176,3 @@ def test_compaction_throughput(tmp_path):
         rows,
     )
     assert best > 0.0
-
-
-def store_disabled_throughput(runs=30):
-    """activities/sec on the 8x8 DAG with *no* store configured.
-
-    The store hooks on the navigator hot path (checkpoint cadence
-    check, archive-on-finish) must collapse to one attribute read when
-    no store is attached; ``compare.py`` gates exactly this number.
-    """
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    layers, width = 8, 8
-    definition = random_dag_process(layers=layers, width=width, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    engine.run_process(definition.name)  # warmup
-    start = time.perf_counter()
-    for __ in range(runs):
-        assert engine.run_process(definition.name).finished
-    elapsed = time.perf_counter() - start
-    return layers * width * runs / elapsed
-
-
-def test_store_disabled_throughput(benchmark):
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    definition = random_dag_process(layers=8, width=8, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    result = benchmark(lambda: engine.run_process(definition.name))
-    assert result.finished

@@ -1,23 +1,20 @@
 """SCOPE — cross-activity transaction scopes over the tx substrate.
 
-Two claims, one per test group:
-
 * **One scope beats N subtransactions.**  A scoped chain runs all its
   steps inside a single ``repro.tx`` transaction (one BEGIN, one
   COMMIT, locks acquired once), where the per-activity translation
   pays a full begin/commit cycle per step.  The table reports both,
   over identical write workloads, and asserts the final states agree.
-* **Zero overhead when off.**  The navigator consults the
-  ``tx_scopes`` service only at root-instance finish, and the lookup
-  must collapse to one ``dict.get`` when no scope manager is
-  installed; ``compare.py`` gates the scope-less 8x8 DAG throughput.
+
+Scope support costs scope-less workflows one ``dict.get`` of the
+``tx_scopes`` service at root-instance finish; ``compare.py``'s
+``engine.dag_8x8`` row gates that.
 """
 
 import time
 
 from repro.tx import ScopeManager, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
-from repro.wfms import Engine
 
 from _helpers import print_table
 
@@ -58,29 +55,6 @@ def scope_chain_throughput(chains=200):
         run_scoped_chain(manager, "root-%d" % i, i)
     elapsed = time.perf_counter() - start
     return chains * OPS_PER_CHAIN / elapsed
-
-
-def scope_disabled_throughput(runs=30):
-    """activities/sec on the 8x8 DAG with *no* scope manager installed.
-
-    The only scope hook on the navigator hot path is the
-    ``services.get("tx_scopes")`` probe at root finish; this number
-    regresses if scope support ever taxes scope-less workflows more
-    than that one lookup.
-    """
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    layers, width = 8, 8
-    definition = random_dag_process(layers=layers, width=width, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    engine.run_process(definition.name)  # warmup
-    start = time.perf_counter()
-    for __ in range(runs):
-        assert engine.run_process(definition.name).finished
-    elapsed = time.perf_counter() - start
-    return layers * width * runs / elapsed
 
 
 def test_scope_vs_per_activity_cost():
@@ -130,14 +104,3 @@ def test_scope_chain_throughput(benchmark):
     benchmark(one_chain)
     assert db.get("k0") is not None
     assert db.active_transactions() == []
-
-
-def test_scope_disabled_throughput(benchmark):
-    from repro.workloads.generator import DAG_PROGRAM, random_dag_process
-
-    definition = random_dag_process(layers=8, width=8, seed=42)
-    engine = Engine()
-    engine.register_program(DAG_PROGRAM, lambda ctx: 0)
-    engine.register_definition(definition)
-    result = benchmark(lambda: engine.run_process(definition.name))
-    assert result.finished

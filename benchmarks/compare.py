@@ -74,6 +74,24 @@ def measure_engine_large_dag() -> float:
     return _best_throughput(layers * width, run, setup)
 
 
+def measure_engine_dag_8x8() -> float:
+    """activities/sec on the 8x8 DAG on a plain ``Engine()``.
+
+    This is the zero-overhead-when-off gate.  Observability, the fault
+    injector and policies, the durable store, transaction scopes and
+    flows are all opt-in, and each leaves one guard (an attribute read
+    or a ``dict.get``) on this path when off; the metric regresses if a
+    change makes the default engine pay more than that.
+    """
+    from bench_observability import RUNS, observability_throughput
+
+    best = 0.0
+    observability_throughput(None, runs=2)  # warmup
+    for __ in range(REPEATS):
+        best = max(best, observability_throughput(None, runs=RUNS))
+    return best
+
+
 def measure_engine_concurrent() -> float:
     """activities/sec across the large-N concurrent-instance batch."""
     from bench_engine_throughput import (
@@ -188,40 +206,6 @@ def measure_journal_batch() -> float:
     return _measure_journal("batch")
 
 
-def measure_observability_disabled() -> float:
-    """activities/sec with observability *off* (the default).
-
-    This is the zero-overhead-when-off gate: the engine's hot paths
-    now carry instrumentation guards, and this metric regresses if a
-    change makes the disabled path pay for them (anything beyond one
-    attribute read per guarded block).
-    """
-    from bench_observability import RUNS, observability_throughput
-
-    best = 0.0
-    observability_throughput(None, runs=2)  # warmup
-    for __ in range(REPEATS):
-        best = max(best, observability_throughput(None, runs=RUNS))
-    return best
-
-
-def measure_resilience_disabled() -> float:
-    """activities/sec with no fault injector and no policies.
-
-    The resilience sites (program invocation, journal append/fsync,
-    bus send, completion bookkeeping) each guard on an unset injector
-    or an empty policy table; this metric regresses if a change makes
-    the disabled path pay more than that one check.
-    """
-    from bench_resilience import RUNS, resilience_throughput
-
-    best = 0.0
-    resilience_throughput(runs=2)  # warmup
-    for __ in range(REPEATS):
-        best = max(best, resilience_throughput(runs=RUNS))
-    return best
-
-
 def measure_store_recovery_checkpointed() -> float:
     """checkpointed recoveries/sec over a 200-instance history.
 
@@ -256,23 +240,6 @@ def measure_store_recovery_checkpointed() -> float:
         return _best_throughput(1, run, setup)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-
-def measure_store_disabled() -> float:
-    """activities/sec with no durable store configured (the default).
-
-    The store hooks on the navigator hot path (checkpoint cadence
-    check, archive-on-finish) must collapse to one attribute read when
-    no store is attached; this metric regresses if a change makes the
-    store-less path pay more than that.
-    """
-    from bench_store import store_disabled_throughput
-
-    best = 0.0
-    store_disabled_throughput(runs=2)  # warmup
-    for __ in range(REPEATS):
-        best = max(best, store_disabled_throughput())
-    return best
 
 
 def measure_engine_sharded() -> float:
@@ -322,22 +289,6 @@ def measure_tx_scope_chain() -> float:
     return best
 
 
-def measure_scope_disabled() -> float:
-    """activities/sec with no scope manager installed (the default).
-
-    The navigator's only scope hook is a ``services.get("tx_scopes")``
-    probe at root-instance finish; this metric regresses if scope
-    support ever taxes scope-less workflows more than that one lookup.
-    """
-    from bench_tx_scope import scope_disabled_throughput
-
-    best = 0.0
-    scope_disabled_throughput(runs=2)  # warmup
-    for __ in range(REPEATS):
-        best = max(best, scope_disabled_throughput())
-    return best
-
-
 def measure_flow_step_replay() -> float:
     """journal replays/sec in the decorator front end's drive loop.
 
@@ -353,22 +304,6 @@ def measure_flow_step_replay() -> float:
     step_replay_throughput(flows=1)  # warmup
     for __ in range(REPEATS):
         best = max(best, step_replay_throughput())
-    return best
-
-
-def measure_flow_disabled() -> float:
-    """activities/sec with no flow runtime installed (the default).
-
-    Flows are opt-in: an engine that never calls ``install_flows`` has
-    no flow service, program, or hook.  This metric regresses if the
-    decorator front end ever taxes plain workflows.
-    """
-    from bench_flow import flow_disabled_dag_throughput
-
-    best = 0.0
-    flow_disabled_dag_throughput(runs=2)  # warmup
-    for __ in range(REPEATS):
-        best = max(best, flow_disabled_dag_throughput())
     return best
 
 
@@ -407,6 +342,7 @@ def measure_net_durable_request_reply() -> float:
 
 METRICS = {
     "engine.dag_16x16.activities_per_sec": measure_engine_large_dag,
+    "engine.dag_8x8.activities_per_sec": measure_engine_dag_8x8,
     "engine.concurrent_200x3x3.activities_per_sec": measure_engine_concurrent,
     "engine.sharded_200x3x3.activities_per_sec": measure_engine_sharded,
     "worklist.offer_600.items_per_sec": measure_worklist_offer,
@@ -414,20 +350,11 @@ METRICS = {
     "conditions.compiled_mix.evals_per_sec": measure_conditions_compiled,
     "journal.append_always.records_per_sec": measure_journal_always,
     "journal.append_batch64.records_per_sec": measure_journal_batch,
-    "observability.disabled_dag_8x8.activities_per_sec": (
-        measure_observability_disabled
-    ),
-    "resilience.disabled_dag_8x8.activities_per_sec": (
-        measure_resilience_disabled
-    ),
     "store.recovery_checkpointed.recoveries_per_sec": (
         measure_store_recovery_checkpointed
     ),
-    "store.disabled_dag_8x8.activities_per_sec": measure_store_disabled,
     "tx.scope_chain.ops_per_sec": measure_tx_scope_chain,
-    "scope.disabled_dag_8x8.activities_per_sec": measure_scope_disabled,
     "flow.step_replay.ops_per_sec": measure_flow_step_replay,
-    "flow.disabled_dag_8x8.activities_per_sec": measure_flow_disabled,
     "net.request_reply.roundtrips_per_sec": measure_net_request_reply,
     "net.durable_request_reply.roundtrips_per_sec": (
         measure_net_durable_request_reply

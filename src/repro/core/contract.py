@@ -24,7 +24,8 @@ the context so its outgoing transition conditions can read it)
 followed by the step activity; the invariant and its negation label
 the two outgoing connectors — exactly the if-then-else the paper says
 transaction models lack.  Failures route to a guarded compensation
-block (shared with the parallel-saga construction).
+block: the parallel-saga construction over the script's chain, with
+its programs and its outcome reader.
 """
 
 from __future__ import annotations
@@ -45,10 +46,13 @@ from repro.wfms.model import (
     ProcessDefinition,
     StartCondition,
 )
-from repro.core.bindings import nop_program
 from repro.core.compblock import NOP_PROGRAM, state_var
-from repro.core.parallel_saga import guarded_compensation_program
-from repro.core.saga_translator import SAGA_ABORT_RC, SAGA_COMMIT_RC
+from repro.core.parallel_saga import (
+    guarded_compensated,
+    guarded_compensation_block,
+    register_parallel_saga_programs,
+)
+from repro.core.saga_translator import SAGA_COMMIT_RC
 
 
 @dataclass(frozen=True)
@@ -219,11 +223,17 @@ def translate_contract(
     )
     required = {NOP_PROGRAM: "null activity"}
 
-    comp_items = [(s.name, s.compensation_program) for s in spec.steps]
-    comp_block = _contract_compensation_block(
-        spec, max_compensation_attempts
+    # Reverse-chain guarded compensation (skipped/never-run steps have
+    # State 0 and their guards pass through).
+    names = [s.name for s in spec.steps]
+    comp_block = guarded_compensation_block(
+        "Backward_%s" % spec.name,
+        "backward recovery of contract %s" % spec.name,
+        spec.steps,
+        list(zip(names, names[1:])),
+        max_compensation_attempts,
     )
-    states = [state_var(s.name) for s in spec.steps]
+    states = [state_var(name) for name in names]
 
     def eval_name(index: int) -> str:
         return "Eval_%s" % spec.steps[index].name
@@ -311,83 +321,21 @@ def translate_contract(
     return ContractTranslation(spec, process, required)
 
 
-def _contract_compensation_block(
-    spec: ContractSpec, max_attempts: int
-) -> ProcessDefinition:
-    # Reverse-chain guarded compensation (skipped/never-run steps have
-    # State 0 and their guards pass through).
-    states = [state_var(s.name) for s in spec.steps]
-    state_decls = [VariableDecl(s, DataType.LONG) for s in states]
-    block = ProcessDefinition(
-        "Backward_%s" % spec.name,
-        description="backward recovery of contract %s" % spec.name,
-        input_spec=list(state_decls),
-        output_spec=[VariableDecl("Done", DataType.LONG)],
-    )
-    block.add_activity(
-        Activity(
-            "NOP",
-            program=NOP_PROGRAM,
-            input_spec=list(state_decls),
-            output_spec=list(state_decls),
-        )
-    )
-    block.map_data(PROCESS_INPUT, "NOP", [(s, s) for s in states])
-    previous = "NOP"
-    for step in reversed(spec.steps):
-        comp_name = "Comp_%s" % step.name
-        block.add_activity(
-            Activity(
-                comp_name,
-                program="g" + step.compensation_program,
-                input_spec=list(state_decls),
-                output_spec=[VariableDecl("DidRun", DataType.LONG)],
-                exit_condition="RC = %d" % SAGA_COMMIT_RC,
-                max_iterations=max_attempts,
-            )
-        )
-        block.map_data(PROCESS_INPUT, comp_name, [(s, s) for s in states])
-        block.map_data(
-            comp_name, PROCESS_OUTPUT, [("DidRun", "Done"), ("_RC", "_RC")]
-        )
-        block.connect(previous, comp_name)
-        previous = comp_name
-    return block
-
-
 def register_contract_programs(
     engine: Engine,
     translation: ContractTranslation,
     actions: dict[str, Subtransaction],
     compensations: dict[str, Subtransaction],
 ) -> None:
-    spec = translation.spec
-    engine.register_program(NOP_PROGRAM, nop_program, replace=True)
+    register_parallel_saga_programs(
+        engine, translation, actions, compensations
+    )
 
     def done_program(ctx) -> int:
         ctx.output.set("Committed", 1)
         return 0
 
     engine.register_program("contract_done", done_program, replace=True)
-    for step in spec.steps:
-        if step.name not in actions:
-            raise SpecificationError("no action bound for %r" % step.name)
-        if step.name not in compensations:
-            raise SpecificationError(
-                "no compensation bound for %r" % step.name
-            )
-        engine.register_program(
-            step.program,
-            actions[step.name].as_program(
-                commit_rc=SAGA_COMMIT_RC, abort_rc=SAGA_ABORT_RC
-            ),
-            replace=True,
-        )
-        engine.register_program(
-            "g" + step.compensation_program,
-            guarded_compensation_program(compensations[step.name], step.name),
-            replace=True,
-        )
 
 
 def workflow_contract_outcome(
@@ -409,16 +357,7 @@ def workflow_contract_outcome(
         and step.name not in ran
         and "Eval_%s" % step.name in ran
     ]
-    compensated: list[str] = []
-    instance = engine.navigator.instance(instance_id)
-    backward = instance.activities.get("Backward")
-    if backward is not None and backward.child_instance:
-        child = engine.navigator.instance(backward.child_instance)
-        for name in engine.audit.execution_order(backward.child_instance):
-            if name.startswith("Comp_"):
-                ai = child.activity(name)
-                if ai.output is not None and ai.output.resolver("DidRun") == 1:
-                    compensated.append(name[len("Comp_"):])
+    compensated = guarded_compensated(engine, instance_id, "Backward")
     committed = output.get("Committed") == 1
     return ContractOutcome(
         committed=committed,

@@ -55,8 +55,12 @@ def translate_parallel_saga(
     """Translate a (possibly DAG-shaped) saga using the guarded
     compensation construction; linear sagas are accepted too."""
     forward = _forward_block(spec)
-    compensation = _guarded_compensation_block(
-        spec, max_compensation_attempts
+    compensation = guarded_compensation_block(
+        "GComp_%s" % spec.name,
+        "guarded compensation block of %s" % spec.name,
+        spec.steps,
+        spec.order,
+        max_compensation_attempts,
     )
     state_decls = [
         VariableDecl(state_var(step.name), DataType.LONG)
@@ -111,14 +115,18 @@ def translate_parallel_saga(
     return SagaTranslation(spec, process, forward, compensation, required)
 
 
-def _guarded_compensation_block(
-    spec: SagaSpec, max_attempts: int
+def guarded_compensation_block(
+    name: str, description: str, steps, order, max_attempts: int
 ) -> ProcessDefinition:
-    states = [state_var(step.name) for step in spec.steps]
+    """One guarded compensating activity per step, wired along the
+    reversed ``order`` edges.  ``steps`` carry ``name`` and
+    ``compensation_program``; a chain's edges give the contract's
+    reverse-chain backward recovery."""
+    states = [state_var(step.name) for step in steps]
     state_decls = [VariableDecl(s, DataType.LONG) for s in states]
     block = ProcessDefinition(
-        "GComp_%s" % spec.name,
-        description="guarded compensation block of %s" % spec.name,
+        name,
+        description=description,
         input_spec=list(state_decls),
         output_spec=[VariableDecl("Done", DataType.LONG)],
     )
@@ -132,10 +140,10 @@ def _guarded_compensation_block(
     )
     block.map_data(PROCESS_INPUT, "NOP", [(s, s) for s in states])
     # Sinks of the forward DAG are the sources of the compensation DAG.
-    forward_successors = {step.name: [] for step in spec.steps}
-    for source, target in spec.order:
+    forward_successors = {step.name: [] for step in steps}
+    for source, target in order:
         forward_successors[source].append(target)
-    for step in spec.steps:
+    for step in steps:
         comp_name = "Comp_%s" % step.name
         block.add_activity(
             Activity(
@@ -154,7 +162,7 @@ def _guarded_compensation_block(
         )
         if not forward_successors[step.name]:
             block.connect("NOP", comp_name)  # compensation source
-    for source, target in spec.order:
+    for source, target in order:
         # Reverse the edge: compensate target before source.
         block.connect("Comp_%s" % target, "Comp_%s" % source)
     return block
@@ -186,7 +194,10 @@ def register_parallel_saga_programs(
     actions: dict[str, Subtransaction],
     compensations: dict[str, Subtransaction],
 ) -> None:
-    """Register forward programs and guarded compensation programs."""
+    """Register forward programs and guarded compensation programs.
+
+    Any translation whose ``spec.steps`` carry ``program`` and
+    ``compensation_program`` qualifies (the contract's does)."""
     spec = translation.spec
     engine.register_program(NOP_PROGRAM, nop_program, replace=True)
     for step in spec.steps:
@@ -227,18 +238,29 @@ def workflow_parallel_saga_outcome(
         for step in spec.steps
         if output.get(state_var(step.name)) == 1
     ]
-    compensated: list[str] = []
-    instance = engine.navigator.instance(instance_id)
-    comp_ai = instance.activities.get("Compensation")
-    if comp_ai is not None and comp_ai.child_instance:
-        child = engine.navigator.instance(comp_ai.child_instance)
-        for name in engine.audit.execution_order(comp_ai.child_instance):
-            if not name.startswith("Comp_"):
-                continue
-            ai = child.activity(name)
-            if ai.output is not None and ai.output.resolver("DidRun") == 1:
-                compensated.append(name[len("Comp_"):])
+    compensated = guarded_compensated(engine, instance_id, "Compensation")
     committed = len(executed) == len(spec.steps) and not compensated
     return SagaOutcome(
         committed=committed, executed=executed, compensated=compensated
     )
+
+
+def guarded_compensated(
+    engine: Engine, instance_id: str, block_activity: str
+) -> list[str]:
+    """Steps whose guarded compensation actually ran (``DidRun = 1``)
+    inside the instance's ``block_activity``, in termination order."""
+    compensated: list[str] = []
+    block = engine.navigator.instance(instance_id).activities.get(
+        block_activity
+    )
+    if block is None or not block.child_instance:
+        return compensated
+    child = engine.navigator.instance(block.child_instance)
+    for name in engine.audit.execution_order(block.child_instance):
+        if not name.startswith("Comp_"):
+            continue
+        ai = child.activity(name)
+        if ai.output is not None and ai.output.resolver("DidRun") == 1:
+            compensated.append(name[len("Comp_"):])
+    return compensated

@@ -48,7 +48,7 @@ the same fault schedule — the chaos suite asserts this by comparing
 Zero overhead when absent: components hold ``None`` instead of an
 injector and guard every site with one attribute test (the same
 cost discipline as the :mod:`repro.obs` null objects, enforced by the
-``resilience.disabled_dag_8x8`` metric in ``benchmarks/compare.py``).
+``engine.dag_8x8`` metric in ``benchmarks/compare.py``).
 """
 
 from __future__ import annotations

@@ -1,9 +1,7 @@
 """Shared builders for the durable-flow suite."""
 
-import json
-
 from repro.core.scoped import install_scope_service
-from repro.tx import ScopeManager, SimDatabase
+from repro.tx import ScopeManager
 from repro.wfms import Engine
 
 
@@ -13,20 +11,6 @@ def flow_engine(db, journal_path=None, **engine_kwargs):
     engine = Engine(journal_path=journal_path, **engine_kwargs)
     install_scope_service(engine, ScopeManager(db))
     return engine
-
-
-def normalized_audit(engine, uuid):
-    """Audit tuples modulo the one legal crash divergence: an attempt
-    that was in flight at the crash is journaled as started twice (the
-    interrupted start, then the resumed one) — same logical attempt,
-    so consecutive duplicate starts collapse."""
-    rows = []
-    for r in engine.audit.records(uuid):
-        row = (r.event.value, r.activity, json.dumps(r.detail, sort_keys=True))
-        if rows and r.event.value == "activity_started" and rows[-1] == row:
-            continue
-        rows.append(row)
-    return rows
 
 
 def assert_exactly_once(calls):
@@ -40,12 +24,3 @@ def assert_exactly_once(calls):
     dupes = {k: n for k, n in seen.items() if n > 1}
     assert not dupes, "step bodies re-executed: %r" % dupes
 
-
-__all__ = [
-    "flow_engine",
-    "normalized_audit",
-    "assert_exactly_once",
-    "ScopeManager",
-    "SimDatabase",
-    "Engine",
-]

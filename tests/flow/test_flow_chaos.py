@@ -17,7 +17,6 @@ Two topologies:
 import json
 import os
 import random
-import socket
 
 import pytest
 
@@ -33,17 +32,19 @@ from repro.flow import (
     transaction,
     workflow,
 )
-from repro.net import BusServerThread, SocketBus
+from repro.net import BusServerThread
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.distributed import WorkflowNode, _advance_to_timers
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT, ProcessDefinition
 
-from tests.flow.harness import (
-    assert_exactly_once,
-    flow_engine,
+from tests.chaos_harness import (
+    connect,
+    free_port,
     normalized_audit,
+    replay_twice,
 )
+from tests.flow.harness import assert_exactly_once, flow_engine
 
 PLAIN_SEEDS = list(range(10))
 BROKER_SEEDS = list(range(4))
@@ -152,11 +153,7 @@ def run_plain_schedule(seed, tmp):
 
 @pytest.mark.parametrize("seed", PLAIN_SEEDS)
 def test_plain_schedule_replays_bit_identical(seed, tmp_path):
-    first = run_plain_schedule(seed, str(tmp_path / "a"))
-    second = run_plain_schedule(seed, str(tmp_path / "b"))
-    assert json.dumps(first, sort_keys=True) == json.dumps(
-        second, sort_keys=True
-    )
+    first = replay_twice(lambda d: run_plain_schedule(seed, d), tmp_path)
     # The schedule actually resumed through at least one kill, and the
     # exactly-once invariant held through it (checked per-run above).
     assert first["counters"]["flows_completed"] == 2
@@ -176,19 +173,6 @@ def test_schedules_actually_differ():
 # ---------------------------------------------------------------------------
 # durable broker topology
 # ---------------------------------------------------------------------------
-
-
-def free_port():
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def connect(address, **kwargs):
-    host, port = address
-    kwargs.setdefault("connect_retries", 10)
-    kwargs.setdefault("backoff", 0.02)
-    return SocketBus(host, port, **kwargs)
 
 
 class BrokerTopology:
@@ -336,11 +320,7 @@ def run_broker_schedule(seed, tmp, *, bounce=False):
 
 @pytest.mark.parametrize("seed", BROKER_SEEDS)
 def test_broker_schedule_replays_bit_identical(seed, tmp_path):
-    first = run_broker_schedule(seed, str(tmp_path / "a"))
-    second = run_broker_schedule(seed, str(tmp_path / "b"))
-    assert json.dumps(first, sort_keys=True) == json.dumps(
-        second, sort_keys=True
-    )
+    first = replay_twice(lambda d: run_broker_schedule(seed, d), tmp_path)
     for entry in first["results"].values():
         assert entry["state"] == "finished"
         assert entry["value"]["bal"] >= 2
@@ -350,7 +330,7 @@ def test_broker_bounce_mid_flow(tmp_path):
     """The broker itself dies and restarts over its write-ahead log
     mid-flow; the flow nodes reconnect, resume their sessions, and the
     flows still finish exactly once."""
-    trace = run_broker_schedule(0, str(tmp_path / "a"), bounce=True)
+    trace = run_broker_schedule(0, tmp_path / "a", bounce=True)
     for entry in trace["results"].values():
         assert entry["state"] == "finished"
     assert trace["counters"]["flows_completed"] == 2

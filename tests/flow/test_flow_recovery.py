@@ -13,11 +13,8 @@ from repro.tx import ScopeManager, SimDatabase
 from repro.wfms import Engine
 from repro.core.scoped import install_scope_service
 
-from tests.flow.harness import (
-    assert_exactly_once,
-    flow_engine,
-    normalized_audit,
-)
+from tests.chaos_harness import normalized_audit
+from tests.flow.harness import assert_exactly_once, flow_engine
 
 
 def capture(engine, rt, uuid, db):

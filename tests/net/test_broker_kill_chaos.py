@@ -32,84 +32,25 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConnectionLost, QueueOverflow
-from repro.net import BrokerProcess, SocketBus
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultRule,
-    InjectedCrash,
-    chaos_rules,
-)
-from repro.wfms.distributed import run_cluster
+from repro.resilience.faults import FaultInjector, FaultRule, chaos_rules
 from repro.workloads.distributed_demo import (
     configure_requester,
     configure_worker,
     make_requester,
     make_worker,
 )
+from tests.chaos_harness import (
+    DurableBroker,
+    connect,
+    converge_cluster,
+    drain,
+    normalized_broker,
+    replay_twice,
+    served,
+)
 
 LEDGER_SEEDS = range(4)
 SAGA_SEEDS = range(4)
-
-
-class DurableBroker:
-    """A restartable broker process pinned to one durable directory
-    and (after first start) one port."""
-
-    def __init__(self, directory, rules, seed, **server_kwargs):
-        self.directory = str(directory)
-        self.rules = rules
-        self.seed = seed
-        self.server_kwargs = server_kwargs
-        self.port = 0
-        self.proc: BrokerProcess | None = None
-        self.bounces = 0
-
-    def start(self) -> None:
-        self.proc = BrokerProcess(
-            rules=self.rules,
-            seed=self.seed,
-            durable_dir=self.directory,
-            port=self.port,
-            **self.server_kwargs,
-        )
-        self.port = self.proc.address[1]
-
-    def restart_after_crash(self) -> None:
-        """The injected ``broker.crash`` killed it from the inside
-        (``os._exit(137)``); reap the corpse and start a successor."""
-        assert self.proc is not None
-        self.proc.wait(10.0)
-        assert not self.proc.alive()
-        self.start()
-        self.bounces += 1
-
-    def kill_and_restart(self) -> None:
-        """External SIGKILL — no flushes, no goodbyes — then restart."""
-        assert self.proc is not None
-        self.proc.kill()
-        self.start()
-        self.bounces += 1
-
-    def close(self) -> None:
-        if self.proc is not None:
-            self.proc.close()
-
-
-def normalized(snapshot) -> dict:
-    """The cross-run comparable slice of a broker snapshot: queue
-    stats (minus the documented volatile delivery drift), epoch and
-    dedup accounting — no ports, pids, session nonces or paths."""
-    queues = {}
-    for name, stats in snapshot["queues"].items():
-        stats = dict(stats)
-        stats.pop("delivered", None)
-        stats.pop("redelivered", None)
-        queues[name] = stats
-    return {
-        "queues": queues,
-        "epoch": snapshot["epoch"],
-        "dedup_hits": snapshot["dedup_hits"],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +78,8 @@ def run_ledger(seed, root):
     )
     broker.start()
     outcomes: list = []
-    bus = SocketBus(
-        "127.0.0.1",
-        broker.port,
-        name="ledger",
-        connect_retries=4,
-        backoff=0.02,
+    bus = connect(
+        ("127.0.0.1", broker.port), name="ledger", connect_retries=4
     )
     try:
 
@@ -179,18 +116,12 @@ def run_ledger(seed, root):
         poisoned = [taken[1]["n"]]
         step("drain", lambda: bus.dlq_drain("pay", requeue=True))
 
-        snap = bus.snapshot()
-        state = normalized(snap)
+        state = normalized_broker(bus.snapshot())
         trace = bus.injector_trace()
 
         # exactly-once accounting: every payment 0..5 lands in exactly
         # one of {acked, still queued (incl. requeued DLQ spill/poison)}
-        remaining = []
-        while True:
-            taken = bus.receive("pay")
-            if taken is None:
-                break
-            remaining.append(taken[1]["n"])
+        remaining = [body["n"] for __, body in drain(bus, "pay")]
         assert sorted(acked + remaining) == list(range(6)), (
             "ledger seed %d lost or duplicated payments" % seed
         )
@@ -206,19 +137,11 @@ def run_ledger(seed, root):
         broker.close()
 
 
-def ledger_drain(fn_bus, queue):
-    rows = []
-    while True:
-        taken = fn_bus.receive(queue)
-        if taken is None:
-            return rows
-        rows.append(taken)
-
-
 @pytest.mark.parametrize("seed", LEDGER_SEEDS)
 def test_ledger_survives_repeated_broker_kills(seed, tmp_path):
-    outcomes, state, accounting, bounces, trace = run_ledger(
-        seed, tmp_path / "a"
+    # bit-identical across a second run of the same schedule
+    outcomes, state, __, bounces, __ = replay_twice(
+        lambda d: run_ledger(seed, d), tmp_path
     )
 
     # the broker actually died mid-traffic, at least once, and every
@@ -232,16 +155,6 @@ def test_ledger_survives_repeated_broker_kills(seed, tmp_path):
     assert state["queues"]["pay"]["sent"] == 7
     assert state["queues"]["pay"]["overflowed"] == 1
     assert state["queues"]["pay"]["dead_lettered"] == 1
-
-    # bit-identical across a second run of the same schedule
-    outcomes2, state2, accounting2, bounces2, trace2 = run_ledger(
-        seed, tmp_path / "b"
-    )
-    assert outcomes == outcomes2
-    assert state == state2
-    assert accounting == accounting2
-    assert bounces == bounces2
-    assert trace == trace2
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +179,10 @@ def run_saga(seed, directory):
     )
     broker = DurableBroker(directory / "broker", bus_rules, seed)
     broker.start()
-
-    def make(name):
-        return SocketBus(
-            "127.0.0.1",
-            broker.port,
-            name=name,
-            connect_retries=6,
-            backoff=0.02,
-        )
-
-    worker_bus, front_bus, control = make("worker"), make("front"), make("control")
+    worker_bus, front_bus, control = (
+        connect(("127.0.0.1", broker.port), name=name, connect_retries=6)
+        for name in ("worker", "front", "control")
+    )
     try:
         worker = make_worker(
             worker_bus,
@@ -291,33 +197,22 @@ def run_saga(seed, directory):
             request_retries=8,
         )
         iid = front.engine.start_process("Front", {"N": 7})
-        killed = False
-        for __ in range(12):
-            try:
-                run_cluster([worker, front], watch=[(front, iid)])
-                break
-            except InjectedCrash:
-                if not killed:
-                    # the node crash is the seeded, deterministic
-                    # instant: SIGKILL the broker with the saga's
-                    # messages in its queues, then restart it
-                    broker.kill_and_restart()
-                    killed = True
-                if worker.engine.crashed:
-                    worker.rebuild(configure_worker)
-                if front.engine.crashed:
-                    front.rebuild(configure_requester)
-        else:
-            pytest.fail("saga did not converge (seed %d)" % seed)
-        assert killed, "the node-crash schedule never fired"
-        result = front.engine.output(iid)["Result"]
-        served = sorted(
-            i.instance_id
-            for i in worker.engine.navigator.instances()
-            if i.instance_id.startswith("req/")
+        # the node crash is the seeded, deterministic instant: SIGKILL
+        # the broker once, with the saga's messages in its queues, and
+        # restart it
+        converge_cluster(
+            [worker, front],
+            [(front, iid)],
+            [configure_worker, configure_requester],
+            on_crash=lambda: broker.bounces or broker.kill_and_restart(),
         )
-        state = normalized(control.snapshot())
-        return result, served, crash_injector.trace(), state
+        assert broker.bounces, "the node-crash schedule never fired"
+        return (
+            front.engine.output(iid)["Result"],
+            served(worker),
+            crash_injector.trace(),
+            normalized_broker(control.snapshot()),
+        )
     finally:
         for bus in (worker_bus, front_bus, control):
             bus.close()
@@ -326,15 +221,12 @@ def run_saga(seed, directory):
 
 @pytest.mark.parametrize("seed", SAGA_SEEDS)
 def test_saga_survives_broker_sigkill(seed, tmp_path):
-    result, served, crash_trace, state = run_saga(seed, tmp_path / "a")
+    result, requests, __, state = replay_twice(
+        lambda d: run_saga(seed, d), tmp_path
+    )
 
     # the saga guarantee across a hard broker death: the right answer,
     # served exactly once
     assert result == 15  # 2*7 + 1
-    assert served == ["req/front/pi-0001/CallDouble"]
+    assert requests == ["req/front/pi-0001/CallDouble"]
     assert state["epoch"] == 2  # exactly one kill + restart
-
-    result2, served2, crash_trace2, state2 = run_saga(seed, tmp_path / "b")
-    assert (result, served) == (result2, served2)
-    assert crash_trace == crash_trace2
-    assert state == state2

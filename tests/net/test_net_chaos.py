@@ -20,20 +20,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import BrokerProcess, SocketBus
-from repro.resilience.faults import (
-    FaultInjector,
-    FaultRule,
-    InjectedCrash,
-    chaos_rules,
-)
-from repro.wfms.distributed import run_cluster
+from repro.net import BrokerProcess
+from repro.resilience.faults import FaultInjector, FaultRule, chaos_rules
 from repro.workloads.distributed_demo import (
     configure_requester,
     configure_worker,
     make_requester,
     make_worker,
 )
+from tests.chaos_harness import connect, converge_cluster, replay_twice, served
 
 NET_SEEDS = range(4)
 
@@ -51,10 +46,10 @@ def run_socket_chaos(seed, directory):
     directory.mkdir(parents=True, exist_ok=True)
     crash_injector = FaultInjector([CRASH_RULE], seed=seed)
     with BrokerProcess(rules=chaos_rules(**BUS_RULES), seed=seed) as broker:
-        host, port = broker.address
-        with SocketBus(host, port, name="worker") as worker_bus, SocketBus(
-            host, port, name="front"
-        ) as front_bus, SocketBus(host, port, name="control") as control:
+        address = broker.address
+        with connect(address, name="worker") as worker_bus, connect(
+            address, name="front"
+        ) as front_bus, connect(address, name="control") as control:
             worker = make_worker(
                 worker_bus,
                 journal_path=str(directory / "worker.jsonl"),
@@ -68,50 +63,33 @@ def run_socket_chaos(seed, directory):
                 request_retries=6,
             )
             iid = front.engine.start_process("Front", {"N": 7})
-            for __ in range(10):
-                try:
-                    run_cluster([worker, front], watch=[(front, iid)])
-                    break
-                except InjectedCrash:
-                    if worker.engine.crashed:
-                        worker.rebuild(configure_worker)
-                    if front.engine.crashed:
-                        front.rebuild(configure_requester)
-            else:
-                pytest.fail(
-                    "socket chaos did not converge (seed %d)" % seed
-                )
-            result = front.engine.output(iid)["Result"]
-            served = sorted(
-                i.instance_id
-                for i in worker.engine.navigator.instances()
-                if i.instance_id.startswith("req/")
+            converge_cluster(
+                [worker, front],
+                [(front, iid)],
+                [configure_worker, configure_requester],
             )
-            bus_trace = control.injector_trace()
-    return result, served, bus_trace, crash_injector.trace()
+            return (
+                front.engine.output(iid)["Result"],
+                served(worker),
+                control.injector_trace(),
+                crash_injector.trace(),
+            )
 
 
 @pytest.mark.parametrize("seed", NET_SEEDS)
 def test_exactly_once_and_replayable_over_real_sockets(seed, tmp_path):
-    result, served, bus_trace, crash_trace = run_socket_chaos(
-        seed, tmp_path / "a"
+    # bit-identical logical traces across two runs of the same seed
+    result, requests, bus_trace, __ = replay_twice(
+        lambda d: run_socket_chaos(seed, d), tmp_path
     )
 
     # the distributed guarantees, now across three OS processes: the
     # right answer, served exactly once, despite injected drops,
     # duplicates, delays and a forced node crash
     assert result == 15  # 2*7 + 1
-    assert served == ["req/front/pi-0001/CallDouble"]
+    assert requests == ["req/front/pi-0001/CallDouble"]
 
-    # bit-identical logical traces across two runs of the same seed
-    result2, served2, bus_trace2, crash_trace2 = run_socket_chaos(
-        seed, tmp_path / "b"
-    )
-    assert bus_trace == bus_trace2
-    assert crash_trace == crash_trace2
-    assert (result, served) == (result2, served2)
-
-    # the chaos actually happened behind the transport: at least one
-    # seed's broker fired rules (guarded loosely per-seed; the suite
-    # as a whole would catch a silently disabled injector)
+    # the chaos actually happened behind the transport: every seed's
+    # broker fired its rules, so a silently disabled injector fails
+    assert bus_trace
     assert all(site == "bus.send" for site, *_ in bus_trace)

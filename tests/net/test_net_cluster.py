@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net import BrokerProcess, BusServerThread, SocketBus
+from repro.net import BrokerProcess, BusServerThread
 from repro.wfms.distributed import run_cluster
 from repro.workloads.distributed_demo import (
     configure_requester,
@@ -21,6 +21,7 @@ from repro.workloads.distributed_demo import (
     make_requester,
     make_worker,
 )
+from tests.chaos_harness import connect, served
 
 
 @pytest.fixture()
@@ -29,14 +30,9 @@ def broker():
         yield server
 
 
-def connect(broker, name):
-    host, port = broker.address
-    return SocketBus(host, port, name=name)
-
-
 def test_request_reply_over_sockets(broker):
-    with connect(broker, "worker") as worker_bus, connect(
-        broker, "front"
+    with connect(broker.address, name="worker") as worker_bus, connect(
+        broker.address, name="front"
     ) as front_bus:
         worker = make_worker(worker_bus)
         front = make_requester(front_bus)
@@ -46,8 +42,8 @@ def test_request_reply_over_sockets(broker):
 
 
 def test_many_requests_each_served_exactly_once(broker):
-    with connect(broker, "worker") as worker_bus, connect(
-        broker, "front"
+    with connect(broker.address, name="worker") as worker_bus, connect(
+        broker.address, name="front"
     ) as front_bus:
         worker = make_worker(worker_bus)
         front = make_requester(front_bus)
@@ -57,20 +53,16 @@ def test_many_requests_each_served_exactly_once(broker):
         run_cluster([worker, front], watch=[(front, iid) for iid in iids])
         for n, iid in enumerate(iids):
             assert front.engine.output(iid)["Result"] == 2 * n + 1
-        served = [
-            i.instance_id
-            for i in worker.engine.navigator.instances()
-            if i.instance_id.startswith("req/")
-        ]
-        assert len(served) == len(set(served)) == 5
+        requests = served(worker)
+        assert len(requests) == len(set(requests)) == 5
 
 
 def test_node_crash_rebuild_and_in_flight_recovery(broker, tmp_path):
     """Crash the worker mid-conversation: its SocketBus survives, the
     broker recovers the in-flight request for redelivery, the rebuilt
     engine replays its journal and serves exactly once."""
-    with connect(broker, "worker") as worker_bus, connect(
-        broker, "front"
+    with connect(broker.address, name="worker") as worker_bus, connect(
+        broker.address, name="front"
     ) as front_bus:
         worker = make_worker(
             worker_bus, journal_path=str(tmp_path / "worker.jsonl")
@@ -90,21 +82,15 @@ def test_node_crash_rebuild_and_in_flight_recovery(broker, tmp_path):
         worker.rebuild(configure_worker)
         run_cluster([worker, front], watch=[(front, iid)])
         assert front.engine.output(iid)["Result"] == 43
-        served = [
-            i.instance_id
-            for i in worker.engine.navigator.instances()
-            if i.instance_id.startswith("req/")
-        ]
-        assert served == ["req/front/pi-0001/CallDouble"]
+        assert served(worker) == ["req/front/pi-0001/CallDouble"]
 
 
 def test_cluster_against_broker_in_another_process(tmp_path):
     """The full topology with the broker in its own OS process — two
     engines, three processes, real sockets end to end."""
     with BrokerProcess() as broker:
-        host, port = broker.address
-        with SocketBus(host, port, name="worker") as worker_bus, SocketBus(
-            host, port, name="front"
+        with connect(broker.address, name="worker") as worker_bus, connect(
+            broker.address, name="front"
         ) as front_bus:
             worker = make_worker(worker_bus)
             front = make_requester(front_bus)
@@ -117,7 +103,7 @@ def test_cluster_against_broker_in_another_process(tmp_path):
 def test_rebuild_reuses_the_same_connection(broker, tmp_path):
     """rebuild() constructs a fresh engine but keeps the node's bus —
     no reconnect storm, no lost queue state."""
-    with connect(broker, "worker") as worker_bus:
+    with connect(broker.address, name="worker") as worker_bus:
         worker = make_worker(
             worker_bus, journal_path=str(tmp_path / "w.jsonl")
         )

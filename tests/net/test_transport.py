@@ -22,17 +22,13 @@ from repro.net import BusServerThread, SocketBus
 from repro.resilience.faults import FaultInjector, FaultRule
 from repro.resilience.policies import CircuitBreaker
 from repro.wfms.messaging import MessageBus
+from tests.chaos_harness import connect
 
 
 @pytest.fixture()
 def broker():
     with BusServerThread() as server:
         yield server
-
-
-def connect(broker, **kwargs):
-    host, port = broker.address
-    return SocketBus(host, port, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +61,14 @@ def _exercise(bus):
 
 
 def test_socket_bus_matches_in_memory_bus(broker):
-    with connect(broker, name="parity") as socket_bus:
+    with connect(broker.address, name="parity") as socket_bus:
         over_wire = _exercise(socket_bus)
     in_memory = _exercise(MessageBus())
     assert over_wire == in_memory
 
 
 def test_typed_errors_cross_the_wire(broker):
-    with connect(broker) as bus:
+    with connect(broker.address) as bus:
         with pytest.raises(WorkflowError, match="unknown message"):
             bus.ack("node:w", "m999999")
         msg_id = bus.send("node:w", {"n": 1})
@@ -86,7 +82,7 @@ def test_headers_roundtrip_verbatim(broker):
         "span-id": "fedcba98",
         "request-id": "req/front/pi-0001/CallDouble",
     }
-    with connect(broker) as bus:
+    with connect(broker.address) as bus:
         bus.send("node:w", {"payload": [1, 2, {"deep": None}]}, headers)
         msg_id, body, got = bus.receive_with_headers("node:w")
         assert got == headers
@@ -100,7 +96,7 @@ def test_headers_roundtrip_verbatim(broker):
 
 def test_overflow_rejects_and_dead_letters():
     with BusServerThread(queue_capacity=2) as server:
-        with connect(server) as bus:
+        with connect(server.address) as bus:
             bus.send("node:w", {"n": 1})
             bus.send("node:w", {"n": 2})
             with pytest.raises(QueueOverflow) as info:
@@ -122,7 +118,7 @@ def test_overflow_rejects_and_dead_letters():
 
 def test_dlq_sends_are_exempt_from_capacity():
     with BusServerThread(queue_capacity=1) as server:
-        with connect(server) as bus:
+        with connect(server.address) as bus:
             for n in range(4):
                 try:
                     bus.send("node:w", {"n": n})
@@ -136,7 +132,7 @@ def test_per_queue_capacity_override():
     with BusServerThread(
         queue_capacity=1, capacities={"node:big": 3}
     ) as server:
-        with connect(server) as bus:
+        with connect(server.address) as bus:
             for n in range(3):
                 bus.send("node:big", {"n": n})  # override honoured
             bus.send("node:small", {"n": 1})
@@ -151,7 +147,7 @@ def test_breaker_sheds_after_sustained_overflow():
             failure_threshold=2, reset_after=3.0
         ),
     ) as server:
-        with connect(server) as bus:
+        with connect(server.address) as bus:
             bus.send("node:w", {"n": 0})
             for __ in range(2):
                 with pytest.raises(QueueOverflow):
@@ -187,7 +183,7 @@ def test_injected_reset_is_retried_transparently():
         seed=3,
     )
     with BusServerThread(fault_injector=injector) as server:
-        with connect(server, name="flaky") as bus:
+        with connect(server.address, name="flaky") as bus:
             for n in range(5):
                 bus.send("node:w", {"n": n})
             # every send landed exactly once despite two resets
@@ -201,7 +197,7 @@ def test_injected_reset_is_retried_transparently():
 
 def test_reconnect_budget_exhaustion_raises_connection_lost():
     server = BusServerThread()
-    bus = connect(server, connect_retries=2, backoff=0.01)
+    bus = connect(server.address, connect_retries=2, backoff=0.01)
     server.close()
     with pytest.raises(ConnectionLost, match="exhausted"):
         bus.ping()
@@ -219,10 +215,10 @@ def test_in_flight_recovery_over_the_wire(broker):
     """A consumer crash leaves messages in flight; a fresh connection
     recovers them for redelivery — state lives in the broker, not the
     connection."""
-    with connect(broker, name="consumer-1") as bus:
+    with connect(broker.address, name="consumer-1") as bus:
         bus.send("node:w", {"n": 1})
         bus.receive("node:w")  # in flight, never acked
-    with connect(broker, name="consumer-2") as bus:
+    with connect(broker.address, name="consumer-2") as bus:
         assert bus.receive("node:w") is None  # still marked in flight
         assert bus.recover_in_flight("node:w") == 1
         msg_id, body = bus.receive("node:w")
@@ -241,7 +237,7 @@ def test_injector_installed_over_the_wire_drives_bus_sends():
         FaultRule("bus.send", "duplicate", schedule=frozenset({3})),
     ]
     with BusServerThread() as server:
-        with connect(server) as bus:
+        with connect(server.address) as bus:
             bus.install_injector(FaultInjector(rules, seed=11))
             ids = [bus.send("node:w", {"n": n}) for n in range(3)]
             assert len(ids) == 3  # drop still returns an id
@@ -256,7 +252,9 @@ def test_injector_installed_over_the_wire_drives_bus_sends():
 
 
 def test_snapshot_reports_connections_and_totals(broker):
-    with connect(broker, name="alpha") as a, connect(broker, name="beta") as b:
+    with connect(broker.address, name="alpha") as a, connect(
+        broker.address, name="beta"
+    ) as b:
         a.send("node:w", {"n": 1})
         snapshot = b.snapshot()
         names = {row["name"] for row in snapshot["connections"]}

@@ -18,6 +18,9 @@ Invariants asserted:
 * **distributed**: under message drop/duplicate/delay plus a node
   crash, the request/reply protocol converges to the right answer
   with exactly one served instance (no duplicate effects).
+* **durable store**: the saga scenario on a store-backed engine
+  (checkpoints, compaction, archive, torn snapshot and compaction
+  writes) behaves exactly like the plain-journal run of its seed.
 """
 
 import pytest
@@ -32,17 +35,16 @@ from repro.core.bindings import (
 from repro.core.flexible_translator import FLEX_ABORT_RC, translate_flexible
 from repro.core.saga_translator import translate_saga
 from repro.core.sagas import SagaSpec, SagaStep, verify_saga_guarantee
-from repro.errors import JournalError, NavigationError
 from repro.resilience import (
     FaultInjector,
-    InjectedCrash,
+    FaultRule,
     RetryPolicy,
     chaos_rules,
     flexible_retry_policies,
 )
+from repro.store import DurableStore
 from repro.tx import SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
-from repro.wfms.distributed import run_cluster
 from repro.wfms.engine import Engine
 from repro.wfms.messaging import MessageBus
 from repro.workloads.banking import fig3_bindings, fig3_spec
@@ -52,48 +54,76 @@ from repro.workloads.distributed_demo import (
     make_requester,
     make_worker,
 )
+from tests.chaos_harness import (
+    converge_cluster,
+    converge_engine,
+    replay_twice,
+    served,
+)
 
 SAGA_SEEDS = range(20)
 FLEX_SEEDS = range(12)
 DIST_SEEDS = range(8)
+STORE_SEEDS = range(8)
+SNAPSHOT_TEAR_SEEDS = range(3)
+COMPACT_TEAR_SEEDS = range(3)
+
+SAGA = SagaSpec("chaos", [SagaStep(n) for n in ("t1", "t2", "t3", "t4")])
 
 
 # ---------------------------------------------------------------------------
-# saga workload
+# saga workload, on a plain journal or a durable store
 # ---------------------------------------------------------------------------
 
 
-def run_saga_chaos(seed, directory):
-    """One saga under program + journal chaos; returns
-    (outcome, db, injector)."""
-    directory.mkdir(parents=True, exist_ok=True)
-    spec = SagaSpec(
-        "chaos", [SagaStep(n) for n in ("t1", "t2", "t3", "t4")]
+def journal_engine(directory, injector):
+    return Engine(
+        journal_path=str(directory / "saga.jsonl"), fault_injector=injector
     )
-    translation = translate_saga(spec)
+
+
+def store_engine(directory, injector):
+    """Checkpoints every 3 records, compaction after each checkpoint,
+    finished roots archived."""
+    return Engine(
+        store=DurableStore(
+            str(directory / "store"), checkpoint_every_records=3
+        ),
+        fault_injector=injector,
+    )
+
+
+def run_saga_chaos(
+    seed, directory, make_engine=journal_engine, extra_rules=()
+):
+    """One saga under program + journal chaos (plus ``extra_rules``) on
+    the engines ``make_engine(directory, injector)`` builds; returns
+    (outcome, db state, fault trace, archived roots)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    translation = translate_saga(SAGA)
     db = SimDatabase()
     # idempotent bodies: journal faults can force a completed action to
     # re-execute after recovery (at-least-once), so effects are writes
     # of absolute values, not increments
     actions = {
         s.name: Subtransaction(s.name, db, write_value(s.name, 1))
-        for s in spec.steps
+        for s in SAGA.steps
     }
     comps = {
         s.name: Subtransaction("c" + s.name, db, write_value(s.name, 0))
-        for s in spec.steps
+        for s in SAGA.steps
     }
     injector = FaultInjector(
-        chaos_rules(program_p=0.25, journal_p=0.05, max_fires=3),
+        chaos_rules(program_p=0.25, journal_p=0.05, max_fires=3)
+        + list(extra_rules),
         seed=seed,
     )
-    journal_path = str(directory / "saga.jsonl")
 
     def build():
-        engine = Engine(journal_path=journal_path, fault_injector=injector)
+        engine = make_engine(directory, injector)
         register_saga_programs(engine, translation, actions, comps)
         engine.register_definition(translation.process)
-        for step in spec.steps:
+        for step in SAGA.steps:
             engine.set_retry(
                 "txn_%s" % step.name,
                 RetryPolicy(
@@ -105,61 +135,89 @@ def run_saga_chaos(seed, directory):
             )
         return engine
 
-    engine = build()
-    iid = None
-    for __ in range(50):
-        try:
-            if iid is None:
-                iid = engine.start_process(translation.process_name)
-            engine.drain()
-            break
-        except JournalError:
-            # disk fault: the engine degraded; recover the durable
-            # prefix on a fresh engine over the same journal
-            engine = build()
-            engine.recover()
-            if iid is not None:
-                try:
-                    engine.instance_state(iid)
-                except NavigationError:
-                    iid = None  # the start itself was never durable
-    else:
-        pytest.fail("saga chaos run did not converge (seed %d)" % seed)
+    # a disk/snapshot/compaction fault degrades the engine; recovery
+    # resumes from the durable prefix (or latest checkpoint + suffix)
+    engine, iid = converge_engine(
+        build, lambda e: e.start_process(translation.process_name)
+    )
     assert engine.instance_state(iid) == "finished"
     outcome = workflow_saga_outcome(engine, translation, iid)
+    archived = engine.store_status().get("archived_roots")
     engine.close()
-    return outcome, db, injector
+    return outcome, db.snapshot(), injector.trace(), archived
 
 
-@pytest.mark.parametrize("seed", SAGA_SEEDS)
-def test_saga_guarantee_under_chaos(seed, tmp_path):
-    outcome, db, injector = run_saga_chaos(seed, tmp_path / "a")
-
-    # the paper's guarantee: T1..Tn, or T1..Tj with Cj..C1
-    assert verify_saga_guarantee(spec_of(outcome), outcome.executed,
-                                 outcome.compensated)
+def assert_saga_effects(outcome, db):
     if outcome.committed:
-        assert outcome.executed == ["t1", "t2", "t3", "t4"]
         assert all(db.get(s) == 1 for s in outcome.executed)
     else:
         # compensated steps left no effects
         assert all(db.get(s) == 0 for s in outcome.compensated)
 
+
+@pytest.mark.parametrize("seed", SAGA_SEEDS)
+def test_saga_guarantee_under_chaos(seed, tmp_path):
     # replayable chaos: same seed, fresh everything => same trace and
     # same outcome
-    outcome2, db2, injector2 = run_saga_chaos(seed, tmp_path / "b")
-    assert injector.trace() == injector2.trace()
-    assert (
-        outcome.committed,
-        outcome.executed,
-        outcome.compensated,
-    ) == (outcome2.committed, outcome2.executed, outcome2.compensated)
-    assert db.snapshot() == db2.snapshot()
+    outcome, db, __, __ = replay_twice(
+        lambda d: run_saga_chaos(seed, d), tmp_path
+    )
+
+    # the paper's guarantee: T1..Tn, or T1..Tj with Cj..C1
+    assert verify_saga_guarantee(SAGA, outcome.executed, outcome.compensated)
+    if outcome.committed:
+        assert outcome.executed == ["t1", "t2", "t3", "t4"]
+    assert_saga_effects(outcome, db)
 
 
-def spec_of(outcome):
-    # the spec is fixed for the whole suite; rebuilt for clarity
-    return SagaSpec("chaos", [SagaStep(n) for n in ("t1", "t2", "t3", "t4")])
+@pytest.mark.parametrize("seed", STORE_SEEDS)
+def test_store_chaos_matches_plain_journal_run(seed, tmp_path):
+    """The tentpole guarantee: a store-backed run (checkpoints +
+    compaction + archive) is *trace- and outcome-identical* to the
+    plain single-file-journal run of the same seed — durability
+    machinery changes recovery cost, never behaviour."""
+    # replayable against itself: same seed => same everything
+    outcome, db, faults, archived = replay_twice(
+        lambda d: run_saga_chaos(seed, d, store_engine), tmp_path
+    )
+    assert verify_saga_guarantee(SAGA, outcome.executed, outcome.compensated)
+    assert_saga_effects(outcome, db)
+    # the finished saga was archived out of live memory
+    assert archived == 1
+
+    # bit-identical to the no-checkpoint run of the same seed
+    plain = run_saga_chaos(seed, tmp_path / "plain")
+    assert plain[:3] == (outcome, db, faults)
+
+
+@pytest.mark.parametrize("seed", SNAPSHOT_TEAR_SEEDS)
+def test_store_chaos_survives_torn_snapshots(seed, tmp_path):
+    """Crash *during* checkpoint write: the torn snapshot is skipped,
+    recovery falls back to an older one, the saga guarantee holds and
+    the outcome still matches the plain run (the extra scheduled fault
+    consumes no RNG, so program/journal chaos is unchanged)."""
+    tear = FaultRule("snapshot.write", schedule={2})
+    outcome, db, faults, __ = run_saga_chaos(
+        seed, tmp_path / "store", store_engine, [tear]
+    )
+    assert verify_saga_guarantee(SAGA, outcome.executed, outcome.compensated)
+    plain = run_saga_chaos(seed, tmp_path / "plain")
+    assert plain[:2] == (outcome, db)
+    # the store run saw exactly one extra fired fault: the torn write
+    assert len([f for f in faults if f[0] == "snapshot.write"]) <= 1
+
+
+@pytest.mark.parametrize("seed", COMPACT_TEAR_SEEDS)
+def test_store_chaos_survives_aborted_compaction(seed, tmp_path):
+    """Crash *during* compaction (before its manifest commit): the old
+    manifest still governs, nothing is lost, outcomes match plain."""
+    tear = FaultRule("compact", schedule={2})
+    outcome, db, __, __ = run_saga_chaos(
+        seed, tmp_path / "store", store_engine, [tear]
+    )
+    assert verify_saga_guarantee(SAGA, outcome.executed, outcome.compensated)
+    plain = run_saga_chaos(seed, tmp_path / "plain")
+    assert plain[:2] == (outcome, db)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +227,7 @@ def spec_of(outcome):
 
 def run_flexible_chaos(seed):
     """Figure 3's flexible transaction under program chaos; returns
-    (outcome, db, injector, spec)."""
+    (outcome, db state, fault trace)."""
     spec = fig3_spec()
     db = SimDatabase()
     actions, comps = fig3_bindings(db)
@@ -190,12 +248,16 @@ def run_flexible_chaos(seed):
     engine.drain()
     assert engine.instance_state(iid) == "finished"
     outcome = workflow_flexible_outcome(engine, translation, iid)
-    return outcome, db, injector, spec
+    return outcome, db.snapshot(), injector.trace()
 
 
 @pytest.mark.parametrize("seed", FLEX_SEEDS)
-def test_flexible_guarantee_under_chaos(seed):
-    outcome, db, injector, spec = run_flexible_chaos(seed)
+def test_flexible_guarantee_under_chaos(seed, tmp_path):
+    # replayable chaos
+    outcome, db, __ = replay_twice(
+        lambda __: run_flexible_chaos(seed), tmp_path
+    )
+    spec = fig3_spec()
 
     # "retriable transactions will eventually commit if retried a
     # sufficient number of times": a retriable member is never dead
@@ -208,22 +270,6 @@ def test_flexible_guarantee_under_chaos(seed):
     # compensated members leave no effects behind
     assert all(db.get(m) == 0 for m in outcome.compensated)
 
-    # replayable chaos
-    outcome2, db2, injector2, __ = run_flexible_chaos(seed)
-    assert injector.trace() == injector2.trace()
-    assert (
-        outcome.committed,
-        outcome.committed_path,
-        outcome.compensated,
-        outcome.dead,
-    ) == (
-        outcome2.committed,
-        outcome2.committed_path,
-        outcome2.compensated,
-        outcome2.dead,
-    )
-    assert db.snapshot() == db2.snapshot()
-
 
 # ---------------------------------------------------------------------------
 # distributed workload
@@ -232,7 +278,7 @@ def test_flexible_guarantee_under_chaos(seed):
 
 def run_distributed_chaos(seed, directory):
     """Request/reply across two nodes under bus chaos plus one forced
-    node crash; returns (result, served_instances, injector)."""
+    node crash; returns (result, served instances, fault trace)."""
     directory.mkdir(parents=True, exist_ok=True)
     injector = FaultInjector(
         chaos_rules(
@@ -261,219 +307,24 @@ def run_distributed_chaos(seed, directory):
         request_retries=6,
     )
     iid = front.engine.start_process("Front", {"N": 7})
-    for __ in range(10):
-        try:
-            run_cluster([worker, front], watch=[(front, iid)])
-            break
-        except InjectedCrash:
-            # the scheduled pump crash hit one of the nodes: rebuild
-            # it over its journal and keep driving
-            if worker.engine.crashed:
-                worker.rebuild(configure_worker)
-            if front.engine.crashed:
-                front.rebuild(configure_requester)
-    else:
-        pytest.fail("distributed chaos did not converge (seed %d)" % seed)
-    result = front.engine.output(iid)["Result"]
-    served = sorted(
-        i.instance_id
-        for i in worker.engine.navigator.instances()
-        if i.instance_id.startswith("req/")
+    # the scheduled pump crash hits one of the nodes: rebuild it over
+    # its journal and keep driving
+    converge_cluster(
+        [worker, front],
+        [(front, iid)],
+        [configure_worker, configure_requester],
     )
-    return result, served, injector
+    return front.engine.output(iid)["Result"], served(worker), injector.trace()
 
 
 @pytest.mark.parametrize("seed", DIST_SEEDS)
 def test_distributed_exactly_once_under_chaos(seed, tmp_path):
-    result, served, injector = run_distributed_chaos(seed, tmp_path / "a")
+    # replayable chaos
+    result, requests, __ = replay_twice(
+        lambda d: run_distributed_chaos(seed, d), tmp_path
+    )
 
     # the right answer, computed exactly once: drops were retried,
     # duplicates deduplicated by request id, the crash recovered
     assert result == 15  # 2*7 + 1
-    assert served == ["req/front/pi-0001/CallDouble"]
-
-    # replayable chaos
-    result2, served2, injector2 = run_distributed_chaos(
-        seed, tmp_path / "b"
-    )
-    assert injector.trace() == injector2.trace()
-    assert (result, served) == (result2, served2)
-
-
-# ---------------------------------------------------------------------------
-# durable-store workload: checkpoints + compaction + archive under chaos
-# ---------------------------------------------------------------------------
-
-from repro.resilience import FaultRule  # noqa: E402
-from repro.store import DurableStore  # noqa: E402
-
-STORE_SEEDS = range(8)
-SNAPSHOT_TEAR_SEEDS = range(3)
-COMPACT_TEAR_SEEDS = range(3)
-
-
-def run_saga_store_chaos(seed, directory, *, extra_rules=()):
-    """The saga chaos scenario on a store-backed engine: checkpoints
-    every 3 records, compaction after each checkpoint, finished roots
-    archived.  Returns (outcome, db, injector)."""
-    directory.mkdir(parents=True, exist_ok=True)
-    spec = SagaSpec(
-        "chaos", [SagaStep(n) for n in ("t1", "t2", "t3", "t4")]
-    )
-    translation = translate_saga(spec)
-    db = SimDatabase()
-    actions = {
-        s.name: Subtransaction(s.name, db, write_value(s.name, 1))
-        for s in spec.steps
-    }
-    comps = {
-        s.name: Subtransaction("c" + s.name, db, write_value(s.name, 0))
-        for s in spec.steps
-    }
-    injector = FaultInjector(
-        chaos_rules(program_p=0.25, journal_p=0.05, max_fires=3)
-        + list(extra_rules),
-        seed=seed,
-    )
-    store_dir = str(directory / "store")
-
-    def build():
-        engine = Engine(
-            store=DurableStore(store_dir, checkpoint_every_records=3),
-            fault_injector=injector,
-        )
-        register_saga_programs(engine, translation, actions, comps)
-        engine.register_definition(translation.process)
-        for step in spec.steps:
-            engine.set_retry(
-                "txn_%s" % step.name,
-                RetryPolicy(
-                    2,
-                    backoff="fixed",
-                    base_delay=1.0,
-                    escalate_rc=SAGA_ABORT_RC,
-                ),
-            )
-        return engine
-
-    engine = build()
-    iid = None
-    for __ in range(50):
-        try:
-            if iid is None:
-                iid = engine.start_process(translation.process_name)
-            engine.drain()
-            break
-        except JournalError:
-            # disk/snapshot/compaction fault: the engine degraded;
-            # recover from the latest valid checkpoint + suffix
-            engine = build()
-            engine.recover()
-            if iid is not None:
-                try:
-                    engine.instance_state(iid)
-                except NavigationError:
-                    iid = None  # the start itself was never durable
-    else:
-        pytest.fail("store chaos run did not converge (seed %d)" % seed)
-    assert engine.instance_state(iid) == "finished"
-    outcome = workflow_saga_outcome(engine, translation, iid)
-    status = engine.store_status()
-    engine.close()
-    return outcome, db, injector, status
-
-
-@pytest.mark.parametrize("seed", STORE_SEEDS)
-def test_store_chaos_matches_plain_journal_run(seed, tmp_path):
-    """The tentpole guarantee: a store-backed run (checkpoints +
-    compaction + archive) is *trace- and outcome-identical* to the
-    plain single-file-journal run of the same seed — durability
-    machinery changes recovery cost, never behaviour."""
-    outcome, db, injector, status = run_saga_store_chaos(
-        seed, tmp_path / "store_a"
-    )
-    assert verify_saga_guarantee(
-        spec_of(outcome), outcome.executed, outcome.compensated
-    )
-    if outcome.committed:
-        assert all(db.get(s) == 1 for s in outcome.executed)
-    else:
-        assert all(db.get(s) == 0 for s in outcome.compensated)
-    # the finished saga was archived out of live memory
-    assert status["archived_roots"] == 1
-
-    # bit-identical to the no-checkpoint run of the same seed
-    plain_outcome, plain_db, plain_injector = run_saga_chaos(
-        seed, tmp_path / "plain"
-    )
-    assert injector.trace() == plain_injector.trace()
-    assert (
-        outcome.committed,
-        outcome.executed,
-        outcome.compensated,
-    ) == (
-        plain_outcome.committed,
-        plain_outcome.executed,
-        plain_outcome.compensated,
-    )
-    assert db.snapshot() == plain_db.snapshot()
-
-    # and replayable against itself: same seed => same everything
-    outcome2, db2, injector2, __ = run_saga_store_chaos(
-        seed, tmp_path / "store_b"
-    )
-    assert injector.trace() == injector2.trace()
-    assert db.snapshot() == db2.snapshot()
-
-
-@pytest.mark.parametrize("seed", SNAPSHOT_TEAR_SEEDS)
-def test_store_chaos_survives_torn_snapshots(seed, tmp_path):
-    """Crash *during* checkpoint write: the torn snapshot is skipped,
-    recovery falls back to an older one, the saga guarantee holds and
-    the outcome still matches the plain run (the extra scheduled fault
-    consumes no RNG, so program/journal chaos is unchanged)."""
-    tear = FaultRule("snapshot.write", schedule={2})
-    outcome, db, injector, __ = run_saga_store_chaos(
-        seed, tmp_path / "store", extra_rules=[tear]
-    )
-    assert verify_saga_guarantee(
-        spec_of(outcome), outcome.executed, outcome.compensated
-    )
-    plain_outcome, plain_db, __ = run_saga_chaos(seed, tmp_path / "plain")
-    assert (
-        outcome.committed,
-        outcome.executed,
-        outcome.compensated,
-    ) == (
-        plain_outcome.committed,
-        plain_outcome.executed,
-        plain_outcome.compensated,
-    )
-    assert db.snapshot() == plain_db.snapshot()
-    # the store run saw exactly one extra fired fault: the torn write
-    extra = [f for f in injector.trace() if f[0] == "snapshot.write"]
-    assert len(extra) <= 1
-
-
-@pytest.mark.parametrize("seed", COMPACT_TEAR_SEEDS)
-def test_store_chaos_survives_aborted_compaction(seed, tmp_path):
-    """Crash *during* compaction (before its manifest commit): the old
-    manifest still governs, nothing is lost, outcomes match plain."""
-    tear = FaultRule("compact", schedule={2})
-    outcome, db, __, __status = run_saga_store_chaos(
-        seed, tmp_path / "store", extra_rules=[tear]
-    )
-    assert verify_saga_guarantee(
-        spec_of(outcome), outcome.executed, outcome.compensated
-    )
-    plain_outcome, plain_db, __ = run_saga_chaos(seed, tmp_path / "plain")
-    assert (
-        outcome.committed,
-        outcome.executed,
-        outcome.compensated,
-    ) == (
-        plain_outcome.committed,
-        plain_outcome.executed,
-        plain_outcome.compensated,
-    )
-    assert db.snapshot() == plain_db.snapshot()
+    assert requests == ["req/front/pi-0001/CallDouble"]

@@ -18,10 +18,10 @@ from repro.core.scoped import (
     translate_scoped_saga,
     workflow_scoped_outcome,
 )
-from repro.errors import JournalError, NavigationError
 from repro.resilience import FaultInjector, FaultRule, RetryPolicy, chaos_rules
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.engine import Engine
+from tests.chaos_harness import converge_engine, replay_twice
 
 SCOPE_SEEDS = range(10)
 COMMIT_FAULT_SEEDS = range(4)
@@ -39,7 +39,8 @@ def scope_write(key, value):
 
 
 def run_scope_chaos(seed, directory, *, extra_rules=(), optional=()):
-    """One scoped saga under chaos; returns (outcome, db, injector).
+    """One scoped saga under chaos; returns (outcome, db state, active
+    transactions, fault trace).
 
     The database and the scope manager survive engine rebuilds (they
     model an external resource manager); the engine's journal drives
@@ -90,61 +91,39 @@ def run_scope_chaos(seed, directory, *, extra_rules=(), optional=()):
         )
         return engine
 
-    engine = build()
-    iid = None
-    for __ in range(50):
-        try:
-            if iid is None:
-                iid = engine.start_process(translation.process.name)
-            engine.drain()
-            break
-        except JournalError:
-            # mid-scope engine crash: rebuild, roll torn scopes back,
-            # replay the durable journal prefix
-            engine = build()
-            engine.recover()
-            if iid is not None:
-                try:
-                    engine.instance_state(iid)
-                except NavigationError:
-                    iid = None  # the start itself was never durable
-    else:
-        pytest.fail("scope chaos run did not converge (seed %d)" % seed)
+    # a mid-scope engine crash: rebuild, roll torn scopes back, replay
+    # the durable journal prefix
+    engine, iid = converge_engine(
+        build, lambda e: e.start_process(translation.process.name)
+    )
     assert engine.instance_state(iid) == "finished"
     outcome = workflow_scoped_outcome(engine, translation, iid)
     engine.close()
-    return outcome, db, injector
+    return outcome, db.snapshot(), db.active_transactions(), injector.trace()
 
 
-def assert_scope_atomicity(outcome, db, *, optional=()):
+def assert_scope_atomicity(outcome, state, active, *, optional=()):
     """All-or-nothing: no converged state shows a partial scope."""
-    assert db.active_transactions() == []  # nothing torn or leaked
+    assert active == []  # nothing torn or leaked
     if outcome.committed:
         expected = dict(COMMITTED_STATE)
         for name in outcome.partially_rolled_back:
             assert name in optional
             expected[name] = 0  # its failure cost exactly its writes
-        assert db.snapshot() == expected
+        assert state == expected
     else:
         assert outcome.rolled_back
-        assert db.snapshot() == SEED_STATE
+        assert state == SEED_STATE
 
 
 @pytest.mark.parametrize("seed", SCOPE_SEEDS)
 def test_scope_atomicity_under_chaos(seed, tmp_path):
     """Program faults + journal faults (mid-scope crashes): the scope
     is atomic and the chaos is replayable bit-for-bit."""
-    outcome, db, injector = run_scope_chaos(seed, tmp_path / "a")
-    assert_scope_atomicity(outcome, db)
-
-    outcome2, db2, injector2 = run_scope_chaos(seed, tmp_path / "b")
-    assert injector.trace() == injector2.trace()
-    assert (
-        outcome.committed,
-        outcome.rolled_back,
-        outcome.executed,
-    ) == (outcome2.committed, outcome2.rolled_back, outcome2.executed)
-    assert db.snapshot() == db2.snapshot()
+    outcome, state, active, __ = replay_twice(
+        lambda d: run_scope_chaos(seed, d), tmp_path
+    )
+    assert_scope_atomicity(outcome, state, active)
 
 
 @pytest.mark.parametrize("seed", COMMIT_FAULT_SEEDS)
@@ -154,18 +133,11 @@ def test_scope_commit_fault_is_atomic(seed, tmp_path):
     partial commit.  The scheduled rule consumes no RNG, so the rest
     of the chaos schedule is unchanged."""
     tear = FaultRule("scope.commit", schedule={1})
-    outcome, db, injector = run_scope_chaos(
-        seed, tmp_path / "a", extra_rules=[tear]
+    outcome, state, active, faults = replay_twice(
+        lambda d: run_scope_chaos(seed, d, extra_rules=[tear]), tmp_path
     )
-    assert_scope_atomicity(outcome, db)
-    fired = [f for f in injector.trace() if f[0] == "scope.commit"]
-    assert len(fired) <= 1
-
-    outcome2, db2, injector2 = run_scope_chaos(
-        seed, tmp_path / "b", extra_rules=[tear]
-    )
-    assert injector.trace() == injector2.trace()
-    assert db.snapshot() == db2.snapshot()
+    assert_scope_atomicity(outcome, state, active)
+    assert len([f for f in faults if f[0] == "scope.commit"]) <= 1
 
 
 @pytest.mark.parametrize("seed", SCOPE_SEEDS)
@@ -173,20 +145,10 @@ def test_savepoint_chaos_preserves_atomicity(seed, tmp_path):
     """With an optional step (savepoint-partial-rollback on its
     failure edge), chaos may cost the optional step's writes but never
     tears the scope."""
-    outcome, db, injector = run_scope_chaos(
-        seed, tmp_path / "a", optional=("t3",)
+    outcome, state, active, __ = replay_twice(
+        lambda d: run_scope_chaos(seed, d, optional=("t3",)), tmp_path
     )
-    assert_scope_atomicity(outcome, db, optional=("t3",))
-
-    outcome2, db2, injector2 = run_scope_chaos(
-        seed, tmp_path / "b", optional=("t3",)
-    )
-    assert injector.trace() == injector2.trace()
-    assert (
-        outcome.committed,
-        outcome.partially_rolled_back,
-    ) == (outcome2.committed, outcome2.partially_rolled_back)
-    assert db.snapshot() == db2.snapshot()
+    assert_scope_atomicity(outcome, state, active, optional=("t3",))
 
 
 def test_scope_timeout_under_chaos_is_atomic(tmp_path):

@@ -24,6 +24,7 @@ from repro.resilience import FaultInjector, InjectedCrash, chaos_rules
 from repro.resilience.faults import FaultRule
 from repro.tx import SimDatabase
 from repro.wfms.sharding import ShardedEngine
+from tests.chaos_harness import replay_twice
 from tests.fixtures.sharded_demo import (
     configure_sharded_saga,
     saga_outcome,
@@ -81,22 +82,16 @@ def run_sharded_saga_chaos(seed, directory):
 class TestShardedSagaChaos:
     @pytest.mark.parametrize("seed", SHARDED_SEEDS)
     def test_guarantee_holds_and_replay_is_identical(self, seed, tmp_path):
-        first = run_sharded_saga_chaos(seed, tmp_path / "a")
-        second = run_sharded_saga_chaos(seed, tmp_path / "b")
-
-        outcome, db_state, trace, recoveries = first
+        # Replayable chaos: the second run saw the same faults in the
+        # same order and ended in the same state.
+        outcome, __, trace, recoveries = replay_twice(
+            lambda d: run_sharded_saga_chaos(seed, d), tmp_path
+        )
         verdict, local, remote, final = outcome
         if verdict == "committed":
             assert (local, remote, final) == (1, 1, 1)
         else:
             assert local == 0 and remote != 1 and final != 1
-
-        # Replayable chaos: the second run saw the same faults in the
-        # same order and ended in the same state.
-        assert second[2] == trace
-        assert second[1] == db_state
-        assert second[0] == outcome
-        assert second[3] == recoveries
 
         # The schedule fired: exactly one shard crashed and recovered.
         assert recoveries == 1

@@ -14,6 +14,7 @@ from repro.workloads.distributed_demo import (
     make_requester,
     make_worker,
 )
+from tests.chaos_harness import served
 
 
 def front_trace_id(front, instance_id):
@@ -136,16 +137,7 @@ class TestCrashReplayTrace:
         assert served_traces == pre_crash
         assert served_traces == {front_trace_id(front, iid)}
         # And the redelivered request did not start a second instance.
-        assert (
-            len(
-                [
-                    i
-                    for i in worker.engine.navigator.instances()
-                    if i.instance_id.startswith("req/")
-                ]
-            )
-            == 1
-        )
+        assert len(served(worker)) == 1
 
     def test_requester_crash_resends_within_the_same_trace(self, tmp_path):
         """Requester crash: the replayed poller re-sends the request.

@@ -11,12 +11,7 @@ from __future__ import annotations
 from repro.tx import AbortScript, SimDatabase
 from repro.tx.failures import FailurePolicy
 from repro.wfms.engine import Engine
-from repro.core.bindings import (
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible import FlexibleSpec, NativeFlexibleExecutor
 from repro.core.flexible_translator import translate_flexible
 from repro.core.sagas import NativeSagaExecutor, SagaSpec, SagaStep
@@ -48,7 +43,7 @@ def build_saga_engine(spec: SagaSpec, policies: dict):
     actions, comps = saga_bindings(spec, db, policies=dict(policies))
     translation = translate_saga(spec)
     engine = Engine()
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     return engine, translation, db
 
@@ -56,7 +51,7 @@ def build_saga_engine(spec: SagaSpec, policies: dict):
 def run_saga_workflow(spec: SagaSpec, policies: dict):
     engine, translation, db = build_saga_engine(spec, policies)
     result = engine.run_process(translation.process_name)
-    outcome = workflow_saga_outcome(engine, translation, result.instance_id)
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     return outcome, db
 
 
@@ -71,7 +66,7 @@ def build_fig3_engine(policies: dict[str, FailurePolicy]):
     actions, comps = fig3_bindings(db, dict(policies))
     translation = translate_flexible(fig3_spec())
     engine = Engine()
-    register_flexible_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     return engine, translation, db
 
@@ -79,9 +74,7 @@ def build_fig3_engine(policies: dict[str, FailurePolicy]):
 def run_fig3_workflow(policies: dict[str, FailurePolicy]):
     engine, translation, db = build_fig3_engine(policies)
     result = engine.run_process(translation.process_name)
-    outcome = workflow_flexible_outcome(
-        engine, translation, result.instance_id
-    )
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     return outcome, db
 
 

@@ -19,15 +19,8 @@ import pytest
 
 from repro.tx import SimDatabase
 from repro.wfms.engine import Engine
-from repro.core.bindings import (
-    register_saga_programs,
-    workflow_saga_outcome,
-)
-from repro.core.parallel_saga import (
-    register_parallel_saga_programs,
-    translate_parallel_saga,
-    workflow_parallel_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
+from repro.core.parallel_saga import translate_parallel_saga
 from repro.core.saga_translator import translate_saga
 from repro.workloads.generator import saga_bindings
 
@@ -36,34 +29,19 @@ from _helpers import abort_policy_at, linear_saga, print_table
 N = 12
 
 
-def run_deadpath(spec, policies):
+def run(translate, spec, policies):
+    """Run ``spec`` translated by ``translate`` (translate_saga builds
+    the dead-path construction, translate_parallel_saga the guarded
+    one)."""
     db = SimDatabase()
     actions, comps = saga_bindings(spec, db, policies=dict(policies))
-    translation = translate_saga(spec)
+    translation = translate(spec)
     engine = Engine()
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     return (
-        workflow_saga_outcome(engine, translation, result.instance_id),
-        engine,
-        result.instance_id,
-        db,
-    )
-
-
-def run_guarded(spec, policies):
-    db = SimDatabase()
-    actions, comps = saga_bindings(spec, db, policies=dict(policies))
-    translation = translate_parallel_saga(spec)
-    engine = Engine()
-    register_parallel_saga_programs(engine, translation, actions, comps)
-    engine.register_definition(translation.process)
-    result = engine.run_process(translation.process_name)
-    return (
-        workflow_parallel_saga_outcome(
-            engine, translation, result.instance_id
-        ),
+        workflow_outcome(engine, translation, result.instance_id),
         engine,
         result.instance_id,
         db,
@@ -85,8 +63,12 @@ def test_constructions_agree_everywhere(benchmark):
     rows = []
     for j in [1, N // 4, N // 2, N]:
         policies = abort_policy_at(spec, j)
-        dead, dead_engine, dead_iid, dead_db = run_deadpath(spec, policies)
-        guard, guard_engine, guard_iid, guard_db = run_guarded(spec, policies)
+        dead, dead_engine, dead_iid, dead_db = run(
+            translate_saga, spec, policies
+        )
+        guard, guard_engine, guard_iid, guard_db = run(
+            translate_parallel_saga, spec, policies
+        )
         assert dead.executed == guard.executed, j
         assert dead.compensated == guard.compensated, j
         assert dead_db.snapshot() == guard_db.snapshot(), j
@@ -113,7 +95,7 @@ def test_constructions_agree_everywhere(benchmark):
         assert dead_started == needed
         assert guard_started == N
 
-    benchmark(lambda: run_deadpath(spec, abort_policy_at(spec, 1)))
+    benchmark(lambda: run(translate_saga, spec, abort_policy_at(spec, 1)))
 
 
 @pytest.mark.parametrize("construction", ["deadpath", "guarded"])
@@ -121,6 +103,8 @@ def test_constructions_agree_everywhere(benchmark):
 def test_ablation_cost(benchmark, construction, abort_at):
     spec = linear_saga(N)
     policies = abort_policy_at(spec, abort_at)
-    runner = run_deadpath if construction == "deadpath" else run_guarded
-    outcome, *__ = benchmark(lambda: runner(spec, policies))
+    translate = (
+        translate_saga if construction == "deadpath" else translate_parallel_saga
+    )
+    outcome, *__ = benchmark(lambda: run(translate, spec, policies))
     assert not outcome.committed

@@ -16,15 +16,13 @@ import pytest
 from repro.tx import AbortScript, FailNTimes
 
 from _helpers import build_fig3_engine, print_table
-from repro.core.bindings import workflow_flexible_outcome
+from repro.core.bindings import workflow_outcome
 
 
 def run(policies):
     engine, translation, db = build_fig3_engine(dict(policies))
     result = engine.run_process(translation.process_name)
-    outcome = workflow_flexible_outcome(
-        engine, translation, result.instance_id
-    )
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     return engine, result, outcome
 
 

@@ -12,10 +12,7 @@ import pytest
 
 from repro.tx import AbortScript, FailNTimes, SimDatabase
 from repro.wfms.audit import AuditEvent
-from repro.core.bindings import (
-    register_saga_programs,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.compblock import state_var
 from repro.core.saga_translator import translate_saga
 from repro.wfms.engine import Engine
@@ -32,7 +29,7 @@ def run_with_trace(policies, comp_policies=None):
         comps[name].policy = policy
     translation = translate_saga(spec)
     engine = Engine()
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     return engine, translation, result, spec
@@ -84,7 +81,7 @@ def test_appendix_saga_retriable_compensation(benchmark):
         {"t03": AbortScript([1])},
         comp_policies={"t01": FailNTimes(3)},
     )
-    outcome = workflow_saga_outcome(engine, tr, result.instance_id)
+    outcome = workflow_outcome(engine, tr, result.instance_id)
     assert outcome.compensated == ["t02", "t01"]
     comp_child = [
         i.instance_id

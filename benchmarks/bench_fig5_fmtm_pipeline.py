@@ -13,7 +13,7 @@ from repro.wfms.engine import Engine
 from repro.core.fmtm import FMTMPipeline, STAGES
 from repro.core.saga_translator import translate_saga
 from repro.core.speclang import format_saga_spec, parse_spec
-from repro.core.bindings import register_saga_programs
+from repro.core.bindings import register_programs
 
 from _helpers import linear_saga, print_table
 
@@ -47,7 +47,7 @@ def saga_engine_for(spec):
         s.name: Subtransaction("c" + s.name, db, write_value(s.name, 0))
         for s in spec.steps
     }
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     return engine
 
 
@@ -78,14 +78,14 @@ def test_fig5_stages_for_saga(benchmark):
 def test_fig5_flexible_specification(benchmark):
     from repro.workloads.banking import fig3_bindings, fig3_spec
     from repro.core.flexible_translator import translate_flexible
-    from repro.core.bindings import register_flexible_programs
+    from repro.core.bindings import register_programs
 
     def full_pipeline():
         engine = Engine()
         db = SimDatabase()
         translation = translate_flexible(fig3_spec())
         actions, comps = fig3_bindings(db)
-        register_flexible_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         return FMTMPipeline(engine).process_specification(FLEX_TEXT)
 
     report = benchmark(full_pipeline)

@@ -12,10 +12,7 @@ import pytest
 
 from repro.tx import SimDatabase
 from repro.wfms.engine import Engine
-from repro.core.bindings import (
-    register_flexible_programs,
-    workflow_flexible_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible import NativeFlexibleExecutor
 from repro.core.flexible_translator import translate_flexible
 from repro.workloads.generator import flexible_bindings, random_flexible_spec
@@ -41,11 +38,11 @@ def run_workflow(spec, p, seed):
     )
     translation = translate_flexible(spec)
     engine = Engine()
-    register_flexible_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     return (
-        workflow_flexible_outcome(engine, translation, result.instance_id),
+        workflow_outcome(engine, translation, result.instance_id),
         db,
     )
 

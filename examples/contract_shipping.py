@@ -16,11 +16,8 @@ Run with::
 from repro.tx import AbortScript, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
-from repro.core.contract import (
-    register_contract_programs,
-    translate_contract,
-    workflow_contract_outcome,
-)
+from repro.core.contract import translate_contract
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.fmtm import FMTMPipeline
 from repro.core.speclang import parse_spec
 
@@ -56,12 +53,12 @@ def run(label, context, aborts=()):
     }
     engine = Engine()
     translation = translate_contract(spec)
-    register_contract_programs(engine, translation, actions, compensations)
+    register_programs(engine, translation, actions, compensations)
     pipeline = FMTMPipeline(engine)
     report = pipeline.process_specification(SPECIFICATION)
     instance = engine.start_process(report.process_name, context)
     engine.run()
-    outcome = workflow_contract_outcome(engine, report.translation, instance)
+    outcome = workflow_outcome(engine, report.translation, instance)
     print("   committed:  ", outcome.committed)
     print("   executed:   ", outcome.executed)
     print("   skipped:    ", outcome.skipped)

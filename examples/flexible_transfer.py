@@ -21,10 +21,7 @@ Run with::
 
 from repro.tx import AbortScript
 from repro.wfms.engine import Engine
-from repro.core.bindings import (
-    register_flexible_programs,
-    workflow_flexible_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible_translator import translate_flexible
 from repro.workloads.banking import TransferWorkload
 
@@ -37,16 +34,14 @@ def run(label: str, *, balance: int = 500, fast_rejects: bool = False) -> None:
     )
     translation = translate_flexible(workload.spec)
     engine = Engine()
-    register_flexible_programs(
+    register_programs(
         engine, translation, workload.actions, workload.compensations
     )
     engine.register_definition(translation.process)
 
     print("   before:", workload.balances())
     result = engine.run_process(translation.process_name)
-    outcome = workflow_flexible_outcome(
-        engine, translation, result.instance_id
-    )
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     print("   committed:", outcome.committed)
     print("   path:     ", outcome.committed_path)
     print("   undone:   ", outcome.compensated)

@@ -20,7 +20,7 @@ Run with::
 import os
 import tempfile
 
-from repro.core.bindings import register_saga_programs, workflow_saga_outcome
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.saga_translator import translate_saga
 from repro.obs import ActivityCompleted, ProcessFinished
 from repro.obs.export import span_tree_lines, to_prometheus_text, write_snapshot
@@ -37,7 +37,7 @@ def main() -> None:
 
     translation = translate_saga(workload.spec)
     engine = Engine(observability=True)
-    register_saga_programs(
+    register_programs(
         engine, translation, workload.actions, workload.compensations
     )
     engine.register_definition(translation.process)
@@ -57,7 +57,7 @@ def main() -> None:
     )
 
     result = engine.run_process(translation.process_name)
-    outcome = workflow_saga_outcome(engine, translation, result.instance_id)
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     print("   saga committed:", outcome.committed)
     print("   executed:      ", outcome.executed)
     print("   compensated:   ", outcome.compensated)

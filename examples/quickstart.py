@@ -14,7 +14,7 @@ from repro.tx.subtransaction import write_value
 from repro.core.fmtm import FMTMPipeline
 from repro.core.saga_translator import translate_saga
 from repro.core.speclang import parse_spec
-from repro.core.bindings import register_saga_programs, workflow_saga_outcome
+from repro.core.bindings import register_programs, workflow_outcome
 
 
 def part_one_plain_workflow() -> None:
@@ -87,7 +87,7 @@ def part_two_saga_via_fmtm() -> None:
         s.name: Subtransaction("undo_" + s.name, db, write_value(s.name, 0))
         for s in spec.steps
     }
-    register_saga_programs(engine, translation, actions, compensations)
+    register_programs(engine, translation, actions, compensations)
 
     pipeline = FMTMPipeline(engine)
     report = pipeline.process_specification(specification)
@@ -98,7 +98,7 @@ def part_two_saga_via_fmtm() -> None:
 
     instance = pipeline.create_instance(report)
     engine.run()
-    outcome = workflow_saga_outcome(engine, report.translation, instance)
+    outcome = workflow_outcome(engine, report.translation, instance)
     print("   saga committed:", outcome.committed)
     print("   steps executed:", outcome.executed)
     print("   database state:", db.snapshot())

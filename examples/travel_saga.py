@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro.wfms.engine import Engine
-from repro.core.bindings import register_saga_programs, workflow_saga_outcome
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.saga_translator import translate_saga
 from repro.core.sagas import verify_saga_guarantee
 from repro.workloads.travel import TravelWorkload
@@ -28,14 +28,14 @@ def run(label: str, capacity: int, hotel_capacity: int | None = None) -> None:
 
     translation = translate_saga(workload.spec)
     engine = Engine()
-    register_saga_programs(
+    register_programs(
         engine, translation, workload.actions, workload.compensations
     )
     engine.register_definition(translation.process)
 
     print("   before:", workload.bookings())
     result = engine.run_process(translation.process_name)
-    outcome = workflow_saga_outcome(engine, translation, result.instance_id)
+    outcome = workflow_outcome(engine, translation, result.instance_id)
 
     print("   saga committed:", outcome.committed)
     print("   executed:      ", outcome.executed)

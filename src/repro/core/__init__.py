@@ -11,6 +11,10 @@ as workflow processes.
   saga → workflow process (forward block + compensation block).
 * :mod:`repro.core.flexible_translator` — the §4.2 seven-rule
   construction: flexible transaction → workflow process (Figure 4).
+* :mod:`repro.core.bindings` — the one binding layer of the four
+  compensation-based models: ``register_programs`` binds a
+  translation's programs, ``workflow_outcome`` reads the model-level
+  outcome back.
 * :mod:`repro.core.speclang` — the textual specification language the
   Exotica/FMTM pre-processor consumes.
 * :mod:`repro.core.fmtm` — the Figure 5 pipeline: specification →

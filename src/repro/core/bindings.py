@@ -1,34 +1,33 @@
 """Bindings: connect translated processes to real subtransactions.
 
 The translators produce pure process definitions that reference
-*program names*.  This module registers the actual programs — built
-from :class:`~repro.tx.subtransaction.Subtransaction` objects with the
-right RC conventions — on an engine, and extracts model-level outcomes
-(:class:`SagaOutcome` / :class:`FlexibleOutcome`) back out of a
-workflow execution so experiments can compare the workflow
-implementation against the native executors on equal terms.
+*program names*.  This module is the one binding layer of the four
+compensation-based models — linear sagas, parallel sagas, flexible
+transactions and contracts.  :func:`register_programs` registers the
+actual programs, built from
+:class:`~repro.tx.subtransaction.Subtransaction` objects with the right
+RC conventions, on an engine; :func:`workflow_outcome` extracts the
+model-level outcome (:class:`SagaOutcome`, :class:`FlexibleOutcome` or
+:class:`ContractOutcome`) back out of a workflow execution, so
+experiments can compare the workflow implementation against the native
+executors on equal terms.  What differs between the models is data on
+the :class:`~repro.core.compblock.Translation`; nothing here looks at
+the specification's type.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Any
+
 from repro.errors import SpecificationError
 from repro.tx.subtransaction import Subtransaction
-from repro.wfms.engine import Engine
-from repro.core.compblock import NOP_PROGRAM, state_var
-from repro.core.flexible import FlexibleOutcome, FlexibleSpec
-from repro.core.flexible_translator import (
-    FLEX_ABORT_RC,
-    FLEX_COMMIT_RC,
-    FlexibleTranslation,
+from repro.core.compblock import (
+    NOP_PROGRAM,
+    Translation,
+    compensated_var,
+    state_var,
 )
-from repro.core.sagas import SagaOutcome, SagaSpec
-from repro.core.saga_translator import (
-    SAGA_ABORT_RC,
-    SAGA_COMMIT_RC,
-    SagaTranslation,
-    passthrough_for,
-)
-from repro.core.compblock import passthrough_for_items
 
 
 def nop_program(ctx) -> int:
@@ -39,186 +38,141 @@ def nop_program(ctx) -> int:
     return 0
 
 
-def register_saga_programs(
-    engine: Engine,
-    translation: SagaTranslation,
+def done_program(ctx) -> int:
+    """Marks the process committed."""
+    ctx.output.set("Committed", 1)
+    return 0
+
+
+def compensation_program(
+    compensation: Subtransaction, member: str, commit_rc: int, abort_rc: int
+):
+    """The program of the compensating activity ``Comp_<member>``.
+
+    It compensates only when ``State_<member> = 1``: a guarded block
+    starts every compensating activity, a dead-path block only those of
+    members that committed.  It reports ``DidRun = 1`` when the
+    compensation committed (guarded blocks) and forwards ``Prev`` as
+    ``Next`` (the dead-path reverse chain).
+    """
+    guard = state_var(member)
+
+    def program(ctx) -> int:
+        if ctx.input.get(guard) != 1:
+            return commit_rc
+        committed = compensation.execute().committed
+        if ctx.output.has("Next"):
+            ctx.output.set("Next", ctx.input.get("Prev"))
+        if committed and ctx.output.has("DidRun"):
+            ctx.output.set("DidRun", 1)
+        return commit_rc if committed else abort_rc
+
+    program.__name__ = "compensation_%s" % member
+    return program
+
+
+def register_programs(
+    engine,
+    translation: Translation,
     actions: dict[str, Subtransaction],
     compensations: dict[str, Subtransaction],
 ) -> None:
-    """Register every program the translated saga references."""
-    spec = translation.spec
+    """Register every program ``translation`` references.
+
+    ``engine`` is used only through ``register_program``."""
+    commit_rc, abort_rc = translation.commit_rc, translation.abort_rc
+    described = translation.required_programs
     engine.register_program(
-        NOP_PROGRAM, nop_program, "null activity", replace=True
+        NOP_PROGRAM, nop_program, described[NOP_PROGRAM], replace=True
     )
-    for step in spec.steps:
-        if step.name not in actions:
-            raise SpecificationError("no action bound for %r" % step.name)
-        if step.name not in compensations:
-            raise SpecificationError(
-                "no compensation bound for %r" % step.name
-            )
+    for member, program in translation.programs.items():
+        if member not in actions:
+            raise SpecificationError("no action bound for %r" % member)
         engine.register_program(
-            step.program,
-            actions[step.name].as_program(
-                commit_rc=SAGA_COMMIT_RC, abort_rc=SAGA_ABORT_RC
-            ),
-            "subtransaction %s" % step.name,
+            program,
+            actions[member].as_program(commit_rc=commit_rc, abort_rc=abort_rc),
+            described[program],
             replace=True,
         )
+    for member, program in translation.compensation_programs.items():
+        if member not in compensations:
+            raise SpecificationError("no compensation bound for %r" % member)
         engine.register_program(
-            step.compensation_program,
-            compensations[step.name].as_program(
-                commit_rc=SAGA_COMMIT_RC,
-                abort_rc=SAGA_ABORT_RC,
-                passthrough=passthrough_for(spec, step.name),
+            program,
+            compensation_program(
+                compensations[member], member, commit_rc, abort_rc
             ),
-            "compensation of %s" % step.name,
+            described[program],
+            replace=True,
+        )
+    if translation.done_program:
+        engine.register_program(
+            translation.done_program,
+            done_program,
+            described[translation.done_program],
             replace=True,
         )
 
 
-def workflow_saga_outcome(
-    engine: Engine, translation: SagaTranslation, instance_id: str
-) -> SagaOutcome:
-    """Reconstruct the saga-level outcome of a workflow execution."""
-    spec = translation.spec
+def workflow_outcome(engine, translation: Translation, instance_id: str):
+    """Reconstruct the model-level outcome of a workflow run, as the
+    translation's ``outcome_type``.
+
+    Reads only ``engine.output`` and ``engine.execution_order``, which
+    also answer for archived instances.
+    """
     output = engine.output(instance_id)
-    executed = [
-        step.name
-        for step in spec.steps
-        if output.get(state_var(step.name)) == 1
-    ]
-    order = engine.execution_order(instance_id, include_children=True)
-    compensated = [
-        name[len("Comp_"):]
-        for name in order
-        if name.startswith("Comp_") and name != "NOP"
-    ]
-    committed = len(executed) == len(spec.steps) and output.get("_RC") == 0
-    return SagaOutcome(
-        committed=committed,
-        executed=executed,
-        compensated=compensated,
-    )
-
-
-def register_flexible_programs(
-    engine: Engine,
-    translation: FlexibleTranslation,
-    actions: dict[str, Subtransaction],
-    compensations: dict[str, Subtransaction],
-) -> None:
-    """Register every program the translated flexible tx references."""
-    spec = translation.spec
-    engine.register_program(
-        NOP_PROGRAM, nop_program, "null activity", replace=True
-    )
-    for name, member in spec.members.items():
-        if name not in actions:
-            raise SpecificationError("no action bound for %r" % name)
-        engine.register_program(
-            member.program,
-            actions[name].as_program(
-                commit_rc=FLEX_COMMIT_RC, abort_rc=FLEX_ABORT_RC
-            ),
-            "%s subtransaction %s" % (member.kind, name),
-            replace=True,
-        )
-        if member.compensatable:
-            if name not in compensations:
-                raise SpecificationError(
-                    "no compensation bound for %r" % name
-                )
-            engine.register_program(
-                member.compensation_program,
-                compensations[name].as_program(
-                    commit_rc=FLEX_COMMIT_RC,
-                    abort_rc=FLEX_ABORT_RC,
-                    passthrough=_flexible_passthrough(spec, translation, name),
-                ),
-                "compensation of %s" % name,
-                replace=True,
-            )
-
-
-def _flexible_passthrough(
-    spec: FlexibleSpec, translation: FlexibleTranslation, member: str
-) -> tuple[tuple[str, str], ...]:
-    """Passthrough pairs for a flexible compensation: within the tree
-    node whose segment contains ``member``, forward the previous
-    compensatable member's State as ``Next``."""
-    for segment in _segments(spec):
-        compensatable = [
-            m for m in segment if spec.member(m).compensatable
-        ]
-        if member in compensatable:
-            items = [
-                (m, spec.member(m).compensation_program)
-                for m in compensatable
-            ]
-            return passthrough_for_items(items, member)
-    raise SpecificationError(
-        "member %r is not compensatable on any segment" % member
-    )
-
-
-def _segments(spec: FlexibleSpec) -> list[list[str]]:
-    segments: list[list[str]] = []
-    stack = [spec.tree()]
-    while stack:
-        node = stack.pop()
-        segments.append(list(node.segment))
-        stack.extend(node.children)
-    return segments
-
-
-def workflow_flexible_outcome(
-    engine: Engine, translation: FlexibleTranslation, instance_id: str
-) -> FlexibleOutcome:
-    """Reconstruct the flexible-transaction outcome of a workflow run."""
-    spec = translation.spec
-    output = engine.output(instance_id)
-    order = engine.execution_order(instance_id, include_children=True)
-    compensated = [
-        name[len("Comp_"):]
-        for name in order
-        if name.startswith("Comp_") and name != "NOP"
-    ]
-    raw = [
-        _member_of(activity)
-        for activity in order
-        if not activity.startswith("Comp")
-        and activity != "NOP"
-        and _member_of(activity) in spec.members
-        and output.get(state_var(_member_of(activity))) == 1
-    ]
-    # A member may appear twice when it sits on two alternatives (the
-    # first attempt aborted, the second committed): keep the last.
-    committed_members: list[str] = []
-    seen: set[str] = set()
-    for member in reversed(raw):
-        if member not in seen:
-            seen.add(member)
-            committed_members.append(member)
-    committed_members.reverse()
+    order = engine.execution_order(instance_id)
+    members = translation.programs
+    executed = [m for m in members if output.get(state_var(m)) == 1]
+    # A guarded block runs every compensating activity and records in
+    # Compensated_<m> whether it compensated; a dead-path block runs
+    # only the compensating activities that compensate.
+    compensated = []
+    last_forward: dict[str, int] = {}
+    last_compensation: dict[str, int] = {}
+    for index, activity in enumerate(order):
+        if activity.startswith("Comp_"):
+            member = activity[len("Comp_"):]
+            if output.get(compensated_var(member), 1) == 1:
+                compensated.append(member)
+                last_compensation[member] = index
+        else:
+            # A member on two alternatives runs as "<member>__<node>".
+            last_forward[activity.split("__", 1)[0]] = index
+    # A member ends committed when it committed (its State flag is the
+    # last writer's) after its last compensation: a member shared by
+    # two alternatives is compensated on one and runs again on the next.
     committed_members = [
-        m for m in committed_members if m not in compensated
+        m
+        for m in sorted(last_forward, key=last_forward.get)
+        if m in members
+        and output.get(state_var(m)) == 1
+        and last_forward[m] > last_compensation.get(m, -1)
     ]
-    committed = output.get("Committed") == 1
-    committed_path: list[str] = []
-    if committed:
-        for path in spec.paths:
-            if set(path) == set(committed_members):
-                committed_path = list(path)
-                break
-    return FlexibleOutcome(
-        committed=committed,
-        committed_path=committed_path,
-        committed_members=committed_members,
-        compensated=compensated,
+    # Flexible transactions and contracts mark their commit in
+    # ``Committed``; a saga commits when every step did.
+    committed = output.get("Committed", len(executed) == len(members)) == 1
+    facts: dict[str, Any] = {
+        "committed": committed,
+        "executed": executed,
+        "compensated": compensated,
+        "committed_members": committed_members,
+        "committed_path": list(committed_members) if committed else [],
+        "skipped": [
+            m
+            for m, check in translation.entry_checks.items()
+            if check in order and m not in order
+        ],
+    }
+    fields = {f.name for f in dataclasses.fields(translation.outcome_type)}
+    return translation.outcome_type(
+        **{name: value for name, value in facts.items() if name in fields}
     )
 
 
-def _member_of(activity: str) -> str:
-    """Strip the sibling-qualification suffix from an activity name."""
-    return activity.split("__", 1)[0]
+# The names the ledger (bench/) imports.
+register_saga_programs = register_programs
+register_flexible_programs = register_programs
+workflow_saga_outcome = workflow_outcome
+workflow_flexible_outcome = workflow_outcome

@@ -16,9 +16,12 @@ Wiring recap (see :mod:`repro.core.saga_translator` for the rationale):
   conditions can read them;
 * NOP → Comp_m fires only for the most recently executed member
   (``State_m = 1 AND State_next = 0``);
-* the reverse chain Comp_m → Comp_prev advances on a ``Next`` flag each
-  compensating activity passes through, so compensation runs strictly
-  in reverse execution order;
+* the reverse chain Comp_m → Comp_prev advances on a ``Next`` flag:
+  each compensating activity receives its predecessor's ``State`` as
+  ``Prev`` and forwards it as ``Next``, so compensation runs strictly in
+  reverse execution order.  The block wires ``Prev`` itself, so a member
+  shared by two alternatives (two blocks, two predecessors) continues
+  each block's chain;
 * dead-path elimination silently skips members that never executed;
 * each compensating activity is retried until its exit condition
   (``RC = commit``) holds — "compensations are in general considered
@@ -26,6 +29,9 @@ Wiring recap (see :mod:`repro.core.saga_translator` for the rationale):
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
@@ -45,8 +51,50 @@ def state_var(name: str) -> str:
     return "State_%s" % name
 
 
+def compensated_var(name: str) -> str:
+    """Output member of a guarded block (and of its process) recording
+    whether member ``name``'s compensation actually ran."""
+    return "Compensated_%s" % name
+
+
 def comp_activity_name(member: str) -> str:
     return "Comp_%s" % member
+
+
+@dataclass
+class Translation:
+    """A translator's output: the process, plus everything in which the
+    compensation-based models differ for the binding layer
+    (:mod:`repro.core.bindings`), as data."""
+
+    spec: Any
+    process: ProcessDefinition
+    #: Program names the engine must have registered before execution,
+    #: mapped to a human description (forms the FDL PROGRAM section).
+    required_programs: dict[str, str]
+    #: The model's return codes for "committed" and "aborted".
+    commit_rc: int
+    abort_rc: int
+    #: The model's outcome dataclass, which the outcome reader fills in.
+    outcome_type: type
+    #: member -> forward program, in the model's member order.
+    programs: dict[str, str] = field(default_factory=dict)
+    #: member -> program of its compensating activity ``Comp_<member>``
+    #: (only members that have a compensation).
+    compensation_programs: dict[str, str] = field(default_factory=dict)
+    #: Program of the activity that marks the process committed.
+    done_program: str = ""
+    #: member -> activity deciding whether the member runs; the member
+    #: was *skipped* when that activity ran and the member did not.
+    entry_checks: dict[str, str] = field(default_factory=dict)
+    forward_block: ProcessDefinition | None = None
+    compensation_block: ProcessDefinition | None = None
+    #: Human-readable notes (e.g. pruned unreachable alternatives).
+    notes: list[str] = field(default_factory=list)
+
+    @property
+    def process_name(self) -> str:
+        return self.process.name
 
 
 def build_compensation_block(
@@ -85,11 +133,14 @@ def build_compensation_block(
         block.map_data(PROCESS_INPUT, "NOP", [(s, s) for s in states])
     for index, (member, comp_program) in enumerate(items):
         comp_name = comp_activity_name(member)
+        # The member compensated next is the one before this one; the
+        # first item gets its own flag, which ends the chain.
+        previous = states[index - 1] if index else states[index]
         block.add_activity(
             Activity(
                 comp_name,
                 program=comp_program,
-                input_spec=list(state_decls),
+                input_spec=state_decls + [VariableDecl("Prev", DataType.LONG)],
                 output_spec=[VariableDecl("Next", DataType.LONG)],
                 start_condition=StartCondition.ANY,
                 exit_condition="RC = %d" % commit_rc,
@@ -97,7 +148,11 @@ def build_compensation_block(
                 description="compensation of %s" % member,
             )
         )
-        block.map_data(PROCESS_INPUT, comp_name, [(s, s) for s in states])
+        block.map_data(
+            PROCESS_INPUT,
+            comp_name,
+            [(s, s) for s in states] + [(previous, "Prev")],
+        )
         if index == len(items) - 1:
             trigger = "%s = 1" % states[index]
         else:
@@ -112,15 +167,3 @@ def build_compensation_block(
         )
     return block
 
-
-def passthrough_for_items(
-    items: list[tuple[str, str]], member: str
-) -> tuple[tuple[str, str], ...]:
-    """Passthrough pairs for ``member``'s compensation program: forward
-    the *previous* member's State flag as ``Next`` so the reverse chain
-    can continue (the first member forwards its own flag, which simply
-    terminates the chain)."""
-    names = [name for name, __ in items]
-    index = names.index(member)
-    source = names[index - 1] if index > 0 else member
-    return ((state_var(source), "Next"),)

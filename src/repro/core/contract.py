@@ -24,8 +24,7 @@ the context so its outgoing transition conditions can read it)
 followed by the step activity; the invariant and its negation label
 the two outgoing connectors — exactly the if-then-else the paper says
 transaction models lack.  Failures route to a guarded compensation
-block: the parallel-saga construction over the script's chain, with
-its programs and its outcome reader.
+block: the parallel-saga construction over the script's chain.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.errors import SpecificationError
 from repro.tx.subtransaction import Subtransaction, SubtransactionOutcome
 from repro.wfms.conditions import parse_condition
 from repro.wfms.datatypes import DataType, VariableDecl
-from repro.wfms.engine import Engine
 from repro.wfms.model import (
     PROCESS_INPUT,
     PROCESS_OUTPUT,
@@ -46,13 +44,14 @@ from repro.wfms.model import (
     ProcessDefinition,
     StartCondition,
 )
-from repro.core.compblock import NOP_PROGRAM, state_var
-from repro.core.parallel_saga import (
-    guarded_compensated,
-    guarded_compensation_block,
-    register_parallel_saga_programs,
+from repro.core.compblock import (
+    NOP_PROGRAM,
+    Translation,
+    compensated_var,
+    state_var,
 )
-from repro.core.saga_translator import SAGA_COMMIT_RC
+from repro.core.parallel_saga import guarded_compensation_block
+from repro.core.saga_translator import SAGA_ABORT_RC, SAGA_COMMIT_RC
 
 
 @dataclass(frozen=True)
@@ -186,20 +185,9 @@ class NativeContractExecutor:
         )
 
 
-@dataclass
-class ContractTranslation:
-    spec: ContractSpec
-    process: ProcessDefinition
-    required_programs: dict[str, str]
-
-    @property
-    def process_name(self) -> str:
-        return self.process.name
-
-
 def translate_contract(
     spec: ContractSpec, *, max_compensation_attempts: int = 100
-) -> ContractTranslation:
+) -> Translation:
     """Translate a ConTract into a workflow process.
 
     Shape per step i: ``Eval_i`` (NOP copying the context) with two
@@ -214,12 +202,15 @@ def translate_contract(
         VariableDecl(state_var(step.name), DataType.LONG)
         for step in spec.steps
     ]
+    flags = [compensated_var(step.name) for step in spec.steps]
+    flag_decls = [VariableDecl(f, DataType.LONG) for f in flags]
     process = ProcessDefinition(
         "Contract_%s" % spec.name,
         description="ConTract-lite translation of %r" % spec.name,
         input_spec=context_decls,
         output_spec=[VariableDecl("Committed", DataType.LONG)]
-        + list(state_decls),
+        + list(state_decls)
+        + flag_decls,
     )
     required = {NOP_PROGRAM: "null activity"}
 
@@ -305,7 +296,7 @@ def translate_contract(
             kind=ActivityKind.BLOCK,
             block=comp_block,
             input_spec=[VariableDecl(s, DataType.LONG) for s in states],
-            output_spec=[VariableDecl("Done", DataType.LONG)],
+            output_spec=[VariableDecl("Done", DataType.LONG)] + flag_decls,
             start_condition=StartCondition.ANY,
             description="backward recovery (guarded compensation)",
         )
@@ -317,51 +308,25 @@ def translate_contract(
             step.name, "Backward", [("State", state_var(step.name))]
         )
     process.map_data("Done", PROCESS_OUTPUT, [("Committed", "Committed")])
+    process.map_data("Backward", PROCESS_OUTPUT, [(f, f) for f in flags])
     process.validate()
-    return ContractTranslation(spec, process, required)
-
-
-def register_contract_programs(
-    engine: Engine,
-    translation: ContractTranslation,
-    actions: dict[str, Subtransaction],
-    compensations: dict[str, Subtransaction],
-) -> None:
-    register_parallel_saga_programs(
-        engine, translation, actions, compensations
-    )
-
-    def done_program(ctx) -> int:
-        ctx.output.set("Committed", 1)
-        return 0
-
-    engine.register_program("contract_done", done_program, replace=True)
-
-
-def workflow_contract_outcome(
-    engine: Engine, translation: ContractTranslation, instance_id: str
-) -> ContractOutcome:
-    spec = translation.spec
-    output = engine.output(instance_id)
-    order = engine.execution_order(instance_id, include_children=False)
-    executed = [
-        step.name
-        for step in spec.steps
-        if output.get(state_var(step.name)) == 1
-    ]
-    ran = set(order)
-    skipped = [
-        step.name
-        for step in spec.steps
-        if not step.critical  # a critical step fails, it never skips
-        and step.name not in ran
-        and "Eval_%s" % step.name in ran
-    ]
-    compensated = guarded_compensated(engine, instance_id, "Backward")
-    committed = output.get("Committed") == 1
-    return ContractOutcome(
-        committed=committed,
-        executed=executed,
-        skipped=skipped,
-        compensated=compensated,
+    return Translation(
+        spec,
+        process,
+        required,
+        SAGA_COMMIT_RC,
+        SAGA_ABORT_RC,
+        ContractOutcome,
+        programs={step.name: step.program for step in spec.steps},
+        compensation_programs={
+            step.name: "g" + step.compensation_program for step in spec.steps
+        },
+        done_program="contract_done",
+        # A critical step whose invariant fails is the failed step, not
+        # a skipped one.
+        entry_checks={
+            step.name: eval_name(index)
+            for index, step in enumerate(spec.steps)
+            if not step.critical
+        },
     )

@@ -36,8 +36,6 @@ translator prunes them and records a note.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import TranslationError
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
@@ -49,30 +47,15 @@ from repro.wfms.model import (
 )
 from repro.core.compblock import (
     NOP_PROGRAM,
+    Translation,
     build_compensation_block,
     state_var,
 )
-from repro.core.flexible import FlexibleSpec, PathTree
+from repro.core.flexible import FlexibleOutcome, FlexibleSpec, PathTree
 
 #: RC convention of §4.2: 1 = committed, 0 = aborted.
 FLEX_COMMIT_RC = 1
 FLEX_ABORT_RC = 0
-
-
-@dataclass
-class FlexibleTranslation:
-    """The translator's output."""
-
-    spec: FlexibleSpec
-    process: ProcessDefinition
-    #: program name -> description, for the FDL PROGRAM section.
-    required_programs: dict[str, str]
-    #: human-readable notes (e.g. pruned unreachable alternatives).
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def process_name(self) -> str:
-        return self.process.name
 
 
 def comp_block_activity(node_id: str) -> str:
@@ -81,7 +64,7 @@ def comp_block_activity(node_id: str) -> str:
 
 def translate_flexible(
     spec: FlexibleSpec, *, max_retries: int = 100
-) -> FlexibleTranslation:
+) -> Translation:
     """Translate ``spec`` into a workflow process (Figure 4)."""
     spec.validate()
     process = ProcessDefinition(
@@ -93,10 +76,13 @@ def translate_flexible(
             for name in sorted(spec.members)
         ],
     )
-    translation = FlexibleTranslation(
+    translation = Translation(
         spec,
         process,
-        required_programs={NOP_PROGRAM: "null activity (compensation trigger)"},
+        {NOP_PROGRAM: "null activity (compensation trigger)"},
+        FLEX_COMMIT_RC,
+        FLEX_ABORT_RC,
+        FlexibleOutcome,
     )
     builder = _Builder(spec, process, translation, max_retries)
     builder.build(spec.tree(), node_id="n", entry=None, failure_parent=None)
@@ -109,7 +95,7 @@ class _Builder:
         self,
         spec: FlexibleSpec,
         process: ProcessDefinition,
-        translation: FlexibleTranslation,
+        translation: Translation,
         max_retries: int,
     ):
         self.spec = spec
@@ -259,10 +245,14 @@ class _Builder:
         self.process.map_data(
             activity_name, PROCESS_OUTPUT, [("State", state_var(name))]
         )
+        self.translation.programs[name] = member.program
         self.translation.required_programs[member.program] = (
             "%s subtransaction %s" % (member.kind, name)
         )
         if member.compensatable:
+            self.translation.compensation_programs[name] = (
+                member.compensation_program
+            )
             self.translation.required_programs[member.compensation_program] = (
                 "compensation of %s" % name
             )

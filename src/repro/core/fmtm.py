@@ -34,16 +34,13 @@ from repro.obs.tracing import Span, Tracer
 from repro.fdl.exporter import export_document
 from repro.fdl.importer import ImportResult, import_text
 from repro.wfms.engine import Engine
-from repro.core.contract import (
-    ContractSpec,
-    ContractTranslation,
-    translate_contract,
-)
+from repro.core.compblock import Translation
+from repro.core.contract import ContractSpec, translate_contract
 from repro.core.flexible import FlexibleSpec
-from repro.core.flexible_translator import FlexibleTranslation, translate_flexible
+from repro.core.flexible_translator import translate_flexible
 from repro.core.parallel_saga import translate_parallel_saga
 from repro.core.sagas import SagaSpec
-from repro.core.saga_translator import SagaTranslation, translate_saga
+from repro.core.saga_translator import translate_saga
 from repro.core.speclang import parse_spec
 from repro.core.wellformed import check_well_formed
 
@@ -60,9 +57,7 @@ class PipelineReport:
     """Everything the pipeline produced, stage by stage."""
 
     spec: SagaSpec | FlexibleSpec | ContractSpec | None = None
-    translation: (
-        SagaTranslation | FlexibleTranslation | ContractTranslation | None
-    ) = None
+    translation: Translation | None = None
     fdl_text: str = ""
     import_result: ImportResult | None = None
     process_name: str = ""
@@ -76,6 +71,36 @@ class PipelineReport:
 
     def stage_names(self) -> list[str]:
         return [record.name for record in self.stages]
+
+
+def translate(
+    spec: SagaSpec | FlexibleSpec | ContractSpec,
+    *,
+    compensate_completed: bool = False,
+    max_retries: int = 100,
+) -> Translation:
+    """Translate ``spec`` with its model's translator: linear sagas by
+    Figure 2, DAG sagas by the guarded construction, flexible
+    transactions by Figure 4, contracts by ConTract-lite.
+
+    ``compensate_completed`` applies to linear sagas only;
+    ``max_retries`` bounds retried subtransactions and compensations.
+    """
+    if isinstance(spec, FlexibleSpec):
+        return translate_flexible(spec, max_retries=max_retries)
+    if isinstance(spec, ContractSpec):
+        return translate_contract(spec, max_compensation_attempts=max_retries)
+    if isinstance(spec, SagaSpec):
+        if spec.is_linear:
+            return translate_saga(
+                spec,
+                compensate_completed=compensate_completed,
+                max_compensation_attempts=max_retries,
+            )
+        return translate_parallel_saga(
+            spec, max_compensation_attempts=max_retries
+        )
+    raise SpecificationError("unsupported model %r" % type(spec).__name__)
 
 
 #: The stages of Figure 5, in order.
@@ -172,25 +197,15 @@ class FMTMPipeline:
         self._timed(report, pipeline_span, "check_model_format", check)
 
         # Stage 3: convert into a process definition.
-        def translate():
-            if isinstance(spec, SagaSpec):
-                if spec.is_linear:
-                    return translate_saga(
-                        spec,
-                        compensate_completed=compensate_completed,
-                        max_compensation_attempts=self.max_retries,
-                    )
-                return translate_parallel_saga(
-                    spec, max_compensation_attempts=self.max_retries
-                )
-            if isinstance(spec, ContractSpec):
-                return translate_contract(
-                    spec, max_compensation_attempts=self.max_retries
-                )
-            return translate_flexible(spec, max_retries=self.max_retries)
-
         translation = self._timed(
-            report, pipeline_span, "translate_to_process", translate
+            report,
+            pipeline_span,
+            "translate_to_process",
+            lambda: translate(
+                spec,
+                compensate_completed=compensate_completed,
+                max_retries=self.max_retries,
+            ),
         )
         report.translation = translation
 

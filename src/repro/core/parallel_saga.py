@@ -15,7 +15,10 @@ set, so this module uses the **guarded** construction:
   input container and returns success immediately (``DidRun = 0``)
   when the step never committed;
 * therefore compensations run in reverse topological order of the
-  forward DAG and exactly the committed steps are compensated.
+  forward DAG and exactly the committed steps are compensated;
+* each activity's ``DidRun`` reaches the block's output container as
+  ``Compensated_<step>``, so the outcome reader can tell which guarded
+  compensations actually ran from the process output alone.
 
 The guarded construction also works for linear sagas, which makes it
 the natural **ablation** against Figure 2: dead-path elimination skips
@@ -27,10 +30,7 @@ compares them; both are behaviourally identical.
 
 from __future__ import annotations
 
-from repro.errors import SpecificationError
-from repro.tx.subtransaction import Subtransaction
 from repro.wfms.datatypes import DataType, VariableDecl
-from repro.wfms.engine import Engine
 from repro.wfms.model import (
     PROCESS_INPUT,
     PROCESS_OUTPUT,
@@ -38,20 +38,23 @@ from repro.wfms.model import (
     ActivityKind,
     ProcessDefinition,
 )
-from repro.core.bindings import nop_program
-from repro.core.compblock import NOP_PROGRAM, state_var
+from repro.core.compblock import (
+    NOP_PROGRAM,
+    Translation,
+    compensated_var,
+    state_var,
+)
 from repro.core.sagas import SagaOutcome, SagaSpec
 from repro.core.saga_translator import (
     SAGA_ABORT_RC,
     SAGA_COMMIT_RC,
-    SagaTranslation,
     _forward_block,
 )
 
 
 def translate_parallel_saga(
     spec: SagaSpec, *, max_compensation_attempts: int = 100
-) -> SagaTranslation:
+) -> Translation:
     """Translate a (possibly DAG-shaped) saga using the guarded
     compensation construction; linear sagas are accepted too."""
     forward = _forward_block(spec)
@@ -66,11 +69,14 @@ def translate_parallel_saga(
         VariableDecl(state_var(step.name), DataType.LONG)
         for step in spec.steps
     ]
+    flags = [compensated_var(step.name) for step in spec.steps]
+    flag_decls = [VariableDecl(f, DataType.LONG) for f in flags]
     process = ProcessDefinition(
         "PSaga_%s" % spec.name,
         description="guarded (parallel-saga) translation of %r" % spec.name,
         output_spec=list(state_decls)
-        + [VariableDecl("Compensated", DataType.LONG)],
+        + [VariableDecl("Compensated", DataType.LONG)]
+        + flag_decls,
     )
     process.add_activity(
         Activity(
@@ -87,7 +93,7 @@ def translate_parallel_saga(
             kind=ActivityKind.BLOCK,
             block=compensation,
             input_spec=list(state_decls),
-            output_spec=[VariableDecl("Done", DataType.LONG)],
+            output_spec=[VariableDecl("Done", DataType.LONG)] + flag_decls,
             description="guarded compensation block (reversed DAG)",
         )
     )
@@ -104,7 +110,11 @@ def translate_parallel_saga(
     process.map_data(
         "Forward", PROCESS_OUTPUT, mappings + [("_RC", "_RC")]
     )
-    process.map_data("Compensation", PROCESS_OUTPUT, [("Done", "Compensated")])
+    process.map_data(
+        "Compensation",
+        PROCESS_OUTPUT,
+        [("Done", "Compensated")] + [(f, f) for f in flags],
+    )
     process.validate()
     required = {NOP_PROGRAM: "null activity"}
     for step in spec.steps:
@@ -112,7 +122,20 @@ def translate_parallel_saga(
         required["g" + step.compensation_program] = (
             "guarded compensation of %s" % step.name
         )
-    return SagaTranslation(spec, process, forward, compensation, required)
+    return Translation(
+        spec,
+        process,
+        required,
+        SAGA_COMMIT_RC,
+        SAGA_ABORT_RC,
+        SagaOutcome,
+        programs={step.name: step.program for step in spec.steps},
+        compensation_programs={
+            step.name: "g" + step.compensation_program for step in spec.steps
+        },
+        forward_block=forward,
+        compensation_block=compensation,
+    )
 
 
 def guarded_compensation_block(
@@ -128,7 +151,11 @@ def guarded_compensation_block(
         name,
         description=description,
         input_spec=list(state_decls),
-        output_spec=[VariableDecl("Done", DataType.LONG)],
+        output_spec=[VariableDecl("Done", DataType.LONG)]
+        + [
+            VariableDecl(compensated_var(step.name), DataType.LONG)
+            for step in steps
+        ],
     )
     block.add_activity(
         Activity(
@@ -158,7 +185,13 @@ def guarded_compensation_block(
         )
         block.map_data(PROCESS_INPUT, comp_name, [(s, s) for s in states])
         block.map_data(
-            comp_name, PROCESS_OUTPUT, [("DidRun", "Done"), ("_RC", "_RC")]
+            comp_name,
+            PROCESS_OUTPUT,
+            [
+                ("DidRun", "Done"),
+                ("DidRun", compensated_var(step.name)),
+                ("_RC", "_RC"),
+            ],
         )
         if not forward_successors[step.name]:
             block.connect("NOP", comp_name)  # compensation source
@@ -167,100 +200,3 @@ def guarded_compensation_block(
         block.connect("Comp_%s" % target, "Comp_%s" % source)
     return block
 
-
-def guarded_compensation_program(
-    compensation: Subtransaction, step_name: str
-):
-    """Program wrapper: skip when the forward step never committed."""
-    guard = state_var(step_name)
-
-    def program(ctx) -> int:
-        if not ctx.input.has(guard) or ctx.input.get(guard) != 1:
-            ctx.output.set("DidRun", 0)
-            return SAGA_COMMIT_RC
-        outcome = compensation.execute()
-        if outcome.committed:
-            ctx.output.set("DidRun", 1)
-            return SAGA_COMMIT_RC
-        return SAGA_ABORT_RC
-
-    program.__name__ = "guarded_comp_%s" % step_name
-    return program
-
-
-def register_parallel_saga_programs(
-    engine: Engine,
-    translation: SagaTranslation,
-    actions: dict[str, Subtransaction],
-    compensations: dict[str, Subtransaction],
-) -> None:
-    """Register forward programs and guarded compensation programs.
-
-    Any translation whose ``spec.steps`` carry ``program`` and
-    ``compensation_program`` qualifies (the contract's does)."""
-    spec = translation.spec
-    engine.register_program(NOP_PROGRAM, nop_program, replace=True)
-    for step in spec.steps:
-        if step.name not in actions:
-            raise SpecificationError("no action bound for %r" % step.name)
-        if step.name not in compensations:
-            raise SpecificationError(
-                "no compensation bound for %r" % step.name
-            )
-        engine.register_program(
-            step.program,
-            actions[step.name].as_program(
-                commit_rc=SAGA_COMMIT_RC, abort_rc=SAGA_ABORT_RC
-            ),
-            replace=True,
-        )
-        engine.register_program(
-            "g" + step.compensation_program,
-            guarded_compensation_program(
-                compensations[step.name], step.name
-            ),
-            replace=True,
-        )
-
-
-def workflow_parallel_saga_outcome(
-    engine: Engine, translation: SagaTranslation, instance_id: str
-) -> SagaOutcome:
-    """Outcome of a guarded-translation run.
-
-    ``compensated`` lists the steps whose compensation *actually ran*
-    (guards skipped the rest), in termination order.
-    """
-    spec = translation.spec
-    output = engine.output(instance_id)
-    executed = [
-        step.name
-        for step in spec.steps
-        if output.get(state_var(step.name)) == 1
-    ]
-    compensated = guarded_compensated(engine, instance_id, "Compensation")
-    committed = len(executed) == len(spec.steps) and not compensated
-    return SagaOutcome(
-        committed=committed, executed=executed, compensated=compensated
-    )
-
-
-def guarded_compensated(
-    engine: Engine, instance_id: str, block_activity: str
-) -> list[str]:
-    """Steps whose guarded compensation actually ran (``DidRun = 1``)
-    inside the instance's ``block_activity``, in termination order."""
-    compensated: list[str] = []
-    block = engine.navigator.instance(instance_id).activities.get(
-        block_activity
-    )
-    if block is None or not block.child_instance:
-        return compensated
-    child = engine.navigator.instance(block.child_instance)
-    for name in engine.audit.execution_order(block.child_instance):
-        if not name.startswith("Comp_"):
-            continue
-        ai = child.activity(name)
-        if ai.output is not None and ai.output.resolver("DidRun") == 1:
-            compensated.append(name[len("Comp_"):])
-    return compensated

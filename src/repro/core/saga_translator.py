@@ -36,8 +36,6 @@ the behaviour narrated in the paper's appendix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import TranslationError
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
@@ -48,32 +46,15 @@ from repro.wfms.model import (
 )
 from repro.core.compblock import (
     NOP_PROGRAM,
+    Translation,
     build_compensation_block,
-    passthrough_for_items,
     state_var,
 )
-from repro.core.sagas import SagaSpec
+from repro.core.sagas import SagaOutcome, SagaSpec
 
 #: RC conventions of the saga section (appendix): 0 = committed.
 SAGA_COMMIT_RC = 0
 SAGA_ABORT_RC = 1
-
-
-@dataclass
-class SagaTranslation:
-    """The translator's output."""
-
-    spec: SagaSpec
-    process: ProcessDefinition
-    forward_block: ProcessDefinition
-    compensation_block: ProcessDefinition
-    #: Program names the engine must have registered before execution,
-    #: mapped to a human description (forms the FDL PROGRAM section).
-    required_programs: dict[str, str]
-
-    @property
-    def process_name(self) -> str:
-        return self.process.name
 
 
 def translate_saga(
@@ -81,7 +62,7 @@ def translate_saga(
     *,
     compensate_completed: bool = False,
     max_compensation_attempts: int = 100,
-) -> SagaTranslation:
+) -> Translation:
     """Translate ``spec`` into a workflow process (Figure 2).
 
     With ``compensate_completed`` the compensation block runs even when
@@ -143,7 +124,20 @@ def translate_saga(
     for step in spec.steps:
         required[step.program] = "subtransaction %s" % step.name
         required[step.compensation_program] = "compensation of %s" % step.name
-    return SagaTranslation(spec, process, forward, compensation, required)
+    return Translation(
+        spec,
+        process,
+        required,
+        SAGA_COMMIT_RC,
+        SAGA_ABORT_RC,
+        SagaOutcome,
+        programs={step.name: step.program for step in spec.steps},
+        compensation_programs={
+            step.name: step.compensation_program for step in spec.steps
+        },
+        forward_block=forward,
+        compensation_block=compensation,
+    )
 
 
 def _forward_block(spec: SagaSpec) -> ProcessDefinition:
@@ -191,9 +185,3 @@ def _compensation_block(
         description="compensation block of saga %s" % spec.name,
     )
 
-
-def passthrough_for(spec: SagaSpec, step_name: str) -> tuple[tuple[str, str], ...]:
-    """Passthrough pairs for the compensation program of ``step_name``
-    (see :func:`repro.core.compblock.passthrough_for_items`)."""
-    items = [(step.name, step.compensation_program) for step in spec.steps]
-    return passthrough_for_items(items, step_name)

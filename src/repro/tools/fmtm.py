@@ -23,28 +23,8 @@ from repro.errors import ReproError
 from repro.tx import AbortScript, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
-from repro.core.contract import (
-    ContractSpec,
-    register_contract_programs,
-    translate_contract,
-    workflow_contract_outcome,
-)
-from repro.core.flexible import FlexibleSpec
-from repro.core.flexible_translator import translate_flexible
-from repro.core.parallel_saga import (
-    register_parallel_saga_programs,
-    translate_parallel_saga,
-    workflow_parallel_saga_outcome,
-)
-from repro.core.sagas import SagaSpec
-from repro.core.saga_translator import translate_saga
-from repro.core.bindings import (
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
-from repro.core.fmtm import FMTMPipeline
+from repro.core.bindings import register_programs, workflow_outcome
+from repro.core.fmtm import FMTMPipeline, translate
 from repro.core.speclang import parse_spec
 
 
@@ -78,49 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stub_bindings(step_names, compensatable, aborts, database):
-    actions = {}
-    compensations = {}
-    for name in step_names:
-        sub = Subtransaction(name, database, write_value(name, 1))
-        if name in aborts:
-            sub.policy = AbortScript([1])
-        actions[name] = sub
-    for name in compensatable:
-        compensations[name] = Subtransaction(
-            "undo_%s" % name, database, write_value(name, 0)
-        )
-    return actions, compensations
-
-
 def _prepare(spec, aborts, engine, database):
-    """Translate + register stub programs; returns (translation, outcome_fn)."""
-    if isinstance(spec, SagaSpec):
-        names = [s.name for s in spec.steps]
-        actions, comps = _stub_bindings(names, names, aborts, database)
-        if spec.is_linear:
-            translation = translate_saga(spec)
-            register_saga_programs(engine, translation, actions, comps)
-            return translation, workflow_saga_outcome
-        translation = translate_parallel_saga(spec)
-        register_parallel_saga_programs(engine, translation, actions, comps)
-        return translation, workflow_parallel_saga_outcome
-    if isinstance(spec, FlexibleSpec):
-        names = list(spec.members)
-        compensatable = [
-            n for n, m in spec.members.items() if m.compensatable
-        ]
-        actions, comps = _stub_bindings(names, compensatable, aborts, database)
-        translation = translate_flexible(spec)
-        register_flexible_programs(engine, translation, actions, comps)
-        return translation, workflow_flexible_outcome
-    if isinstance(spec, ContractSpec):
-        names = [s.name for s in spec.steps]
-        actions, comps = _stub_bindings(names, names, aborts, database)
-        translation = translate_contract(spec)
-        register_contract_programs(engine, translation, actions, comps)
-        return translation, workflow_contract_outcome
-    raise ReproError("unsupported model %r" % type(spec).__name__)
+    """Translate ``spec`` and register stub programs for it: each
+    member writes its flag, each compensation clears it."""
+    translation = translate(spec)
+    actions = {}
+    for name in translation.programs:
+        actions[name] = Subtransaction(name, database, write_value(name, 1))
+        if name in aborts:
+            actions[name].policy = AbortScript([1])
+    compensations = {
+        name: Subtransaction("undo_%s" % name, database, write_value(name, 0))
+        for name in translation.compensation_programs
+    }
+    register_programs(engine, translation, actions, compensations)
 
 
 def _parse_inputs(pairs):
@@ -146,7 +97,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
         aborts = {s for s in args.abort.split(",") if s}
         database = SimDatabase("stub")
         engine = Engine()
-        translation, outcome_fn = _prepare(spec, aborts, engine, database)
+        _prepare(spec, aborts, engine, database)
         pipeline = FMTMPipeline(engine)
         report = pipeline.process_specification(text)
         print("model:    %s" % type(spec).__name__, file=out)
@@ -165,7 +116,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
             inputs = _parse_inputs(args.input)
             instance = engine.start_process(report.process_name, inputs)
             engine.run()
-            outcome = outcome_fn(engine, report.translation, instance)
+            outcome = workflow_outcome(engine, report.translation, instance)
             print("state:    %s" % engine.instance_state(instance), file=out)
             print("committed: %s" % outcome.committed, file=out)
             for field in ("executed", "compensated", "skipped",

@@ -82,26 +82,14 @@ class Subtransaction:
         return SubtransactionOutcome(self.name, committed, self.attempts, reason)
 
     def as_program(
-        self,
-        *,
-        commit_rc: int = 0,
-        abort_rc: int = 1,
-        passthrough: tuple[tuple[str, str], ...] = (),
+        self, *, commit_rc: int = 0, abort_rc: int = 1
     ) -> Callable[..., int]:
-        """Adapt into a WFMS program with the given RC convention.
-
-        ``passthrough`` pairs copy input members into output members —
-        the saga compensation chain uses this to forward the State flag
-        of the *next* compensation in reverse order.
-        """
+        """Adapt into a WFMS program with the given RC convention."""
 
         def program(ctx) -> int:
             outcome = self.execute()
             if ctx.output.has("State"):
                 ctx.output.set("State", 1 if outcome.committed else 0)
-            for in_path, out_path in passthrough:
-                if ctx.input.has(in_path) and ctx.output.has(out_path):
-                    ctx.output.set(out_path, ctx.input.get(in_path))
             return commit_rc if outcome.committed else abort_rc
 
         program.__name__ = "subtransaction_%s" % self.name

@@ -1,5 +1,5 @@
-"""Tests for the binding layer: program registration, passthroughs and
-outcome reconstruction."""
+"""Tests for the binding layer: program registration, the compensation
+chain's wiring and outcome reconstruction."""
 
 import pytest
 
@@ -12,13 +12,12 @@ from repro.wfms.engine import Engine
 from repro.wfms.programs import InvocationContext
 from repro.core.bindings import (
     nop_program,
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_saga_outcome,
+    register_programs,
+    workflow_outcome,
 )
-from repro.core.compblock import passthrough_for_items, state_var
+from repro.core.compblock import build_compensation_block, state_var
 from repro.core.flexible_translator import translate_flexible
-from repro.core.saga_translator import passthrough_for, translate_saga
+from repro.core.saga_translator import translate_saga
 from repro.core.sagas import SagaSpec, SagaStep
 from repro.workloads.banking import fig3_bindings, fig3_spec
 
@@ -49,18 +48,57 @@ class TestNopProgram:
         assert ctx.output.return_code == 0
 
 
+def prev_source(block, member):
+    """The block-input flag that reaches ``Comp_<member>``'s ``Prev``,
+    which its program forwards as ``Next`` to continue the chain."""
+    (source,) = [
+        src
+        for c in block.data_connectors
+        if c.target == "Comp_%s" % member
+        for src, dst in c.mappings
+        if dst == "Prev"
+    ]
+    return source
+
+
 class TestPassthroughs:
+    ITEMS = [("a", "ca"), ("b", "cb"), ("c", "cc")]
+
     def test_first_item_forwards_own_state(self):
-        items = [("a", "ca"), ("b", "cb"), ("c", "cc")]
-        assert passthrough_for_items(items, "a") == ((state_var("a"), "Next"),)
+        block = build_compensation_block(
+            "B", self.ITEMS, commit_rc=0, max_attempts=1
+        )
+        assert prev_source(block, "a") == state_var("a")
 
     def test_later_items_forward_previous_state(self):
-        items = [("a", "ca"), ("b", "cb"), ("c", "cc")]
-        assert passthrough_for_items(items, "c") == ((state_var("b"), "Next"),)
+        block = build_compensation_block(
+            "B", self.ITEMS, commit_rc=0, max_attempts=1
+        )
+        assert prev_source(block, "c") == state_var("b")
 
     def test_saga_wrapper_matches(self):
         spec = SagaSpec("s", [SagaStep("a"), SagaStep("b")])
-        assert passthrough_for(spec, "b") == ((state_var("a"), "Next"),)
+        block = translate_saga(spec).compensation_block
+        assert prev_source(block, "b") == state_var("a")
+
+    def test_shared_member_forwards_each_blocks_predecessor(self):
+        # d sits on both alternatives, after c on one and after x on the
+        # other: each block wires its own predecessor into Comp_d.
+        from repro.core.flexible import FlexibleMember, FlexibleSpec
+
+        spec = FlexibleSpec(
+            "shared",
+            [FlexibleMember(n, compensatable=True) for n in "acdbx"]
+            + [FlexibleMember("f"), FlexibleMember("e", retriable=True)],
+            [list("acdf"), list("abxde")],
+        )
+        process = translate_flexible(spec).process
+        assert prev_source(
+            process.activity("CompBlock_n_1").block, "d"
+        ) == state_var("c")
+        assert prev_source(
+            process.activity("CompBlock_n_2").block, "d"
+        ) == state_var("x")
 
 
 class TestRegistration:
@@ -70,7 +108,7 @@ class TestRegistration:
         db = SimDatabase()
         comps = {"a": Subtransaction("ca", db, write_value("a", 0))}
         with pytest.raises(SpecificationError, match="a"):
-            register_saga_programs(Engine(), translation, {}, comps)
+            register_programs(Engine(), translation, {}, comps)
 
     def test_missing_flexible_compensation_rejected(self):
         spec = fig3_spec()
@@ -79,7 +117,7 @@ class TestRegistration:
         actions, comps = fig3_bindings(db)
         del comps["t5"]
         with pytest.raises(SpecificationError, match="t5"):
-            register_flexible_programs(Engine(), translation, actions, comps)
+            register_programs(Engine(), translation, actions, comps)
 
     def test_reregistration_replaces(self):
         spec = SagaSpec("s", [SagaStep("a")])
@@ -88,8 +126,8 @@ class TestRegistration:
         actions = {"a": Subtransaction("a", db, write_value("a", 1))}
         comps = {"a": Subtransaction("ca", db, write_value("a", 0))}
         engine = Engine()
-        register_saga_programs(engine, translation, actions, comps)
-        register_saga_programs(engine, translation, actions, comps)  # ok
+        register_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)  # ok
 
 
 class TestOutcomeReconstruction:
@@ -105,16 +143,15 @@ class TestOutcomeReconstruction:
         }
         translation = translate_saga(spec)
         engine = Engine()
-        register_saga_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         engine.register_definition(translation.process)
         result = engine.run_process(translation.process_name)
-        outcome = workflow_saga_outcome(engine, translation, result.instance_id)
+        outcome = workflow_outcome(engine, translation, result.instance_id)
         assert outcome.executed == ["a", "b"]
         assert outcome.compensated == ["b", "a"]
         assert not outcome.committed
 
     def test_flexible_shared_member_counted_once(self):
-        from repro.core.bindings import workflow_flexible_outcome
         from repro.core.flexible import FlexibleMember, FlexibleSpec
 
         spec = FlexibleSpec(
@@ -136,12 +173,10 @@ class TestOutcomeReconstruction:
         comps = {"a": Subtransaction("ca", db, write_value("a", 0))}
         translation = translate_flexible(spec)
         engine = Engine()
-        register_flexible_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         engine.register_definition(translation.process)
         result = engine.run_process(translation.process_name)
-        outcome = workflow_flexible_outcome(
-            engine, translation, result.instance_id
-        )
+        outcome = workflow_outcome(engine, translation, result.instance_id)
         assert outcome.committed
         assert outcome.committed_path == ["a", "y", "b"]
         assert outcome.committed_members.count("b") == 1

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.errors import DefinitionError
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT, StartCondition
 from repro.core.compblock import (
     build_compensation_block,
     comp_activity_name,
-    passthrough_for_items,
     state_var,
 )
 
@@ -95,13 +95,36 @@ class TestConstruction:
 
 
 class TestPassthrough:
-    def test_first_forwards_own_flag(self):
-        assert passthrough_for_items(ITEMS, "a") == (("State_a", "Next"),)
+    """Which block-input flag reaches each ``Comp_m``'s ``Prev`` (its
+    program forwards it as ``Next``, which advances the chain)."""
 
-    def test_middle_forwards_previous(self):
-        assert passthrough_for_items(ITEMS, "b") == (("State_a", "Next"),)
-        assert passthrough_for_items(ITEMS, "c") == (("State_b", "Next"),)
+    @pytest.fixture
+    def block(self):
+        return build_compensation_block(
+            "Comp", ITEMS, commit_rc=0, max_attempts=1
+        )
 
-    def test_unknown_member_raises(self):
-        with pytest.raises(ValueError):
-            passthrough_for_items(ITEMS, "ghost")
+    @staticmethod
+    def prev_of(block, member):
+        return [
+            src
+            for c in block.data_connectors
+            if c.source == PROCESS_INPUT
+            and c.target == comp_activity_name(member)
+            for src, dst in c.mappings
+            if dst == "Prev"
+        ]
+
+    def test_first_forwards_own_flag(self, block):
+        assert self.prev_of(block, "a") == ["State_a"]
+
+    def test_middle_forwards_previous(self, block):
+        assert self.prev_of(block, "b") == ["State_a"]
+        assert self.prev_of(block, "c") == ["State_b"]
+        for name in ("Comp_a", "Comp_b", "Comp_c"):
+            inputs = [d.name for d in block.activity(name).input_spec]
+            assert inputs[-1] == "Prev"
+
+    def test_unknown_member_raises(self, block):
+        with pytest.raises(DefinitionError):
+            block.activity(comp_activity_name("ghost"))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SpecificationError, SpecSyntaxError
+from repro.store import DurableStore
 from repro.tx import AbortScript, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.datatypes import DataType, VariableDecl
@@ -11,10 +12,9 @@ from repro.core.contract import (
     ContractSpec,
     ContractStep,
     NativeContractExecutor,
-    register_contract_programs,
     translate_contract,
-    workflow_contract_outcome,
 )
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.fmtm import FMTMPipeline
 from repro.core.speclang import format_contract_spec, parse_spec
 
@@ -55,12 +55,12 @@ def run_workflow(ctx, aborts=()):
     actions, comps = bindings(db, aborts)
     translation = translate_contract(CONTRACT)
     engine = Engine()
-    register_contract_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     iid = engine.start_process(translation.process_name, ctx)
     engine.run()
     assert engine.instance_state(iid) == "finished"
-    return workflow_contract_outcome(engine, translation, iid), db
+    return workflow_outcome(engine, translation, iid), db
 
 
 class TestSpec:
@@ -149,6 +149,30 @@ class TestWorkflowParity:
         assert ("insure", "Amount > 100") in edges
         assert ("Eval_charge", "NOT (Amount > 100)") in edges
 
+    @pytest.mark.parametrize(
+        "ctx,aborts",
+        [
+            ({"Amount": 500}, ()),
+            ({"Amount": 0}, ()),
+            ({"Amount": 500}, ("ship",)),
+            ({"Amount": 50}, ("ship",)),
+        ],
+        ids=["full", "critical-fail", "ship-abort", "skip-then-abort"],
+    )
+    def test_store_backed_engine_agrees(self, tmp_path, ctx, aborts):
+        # A store-backed engine archives and evicts a finished root; the
+        # outcome must come from what the engine still answers for it.
+        outcomes = []
+        for engine in (Engine(), Engine(store=DurableStore(tmp_path))):
+            actions, comps = bindings(SimDatabase(), aborts)
+            translation = translate_contract(CONTRACT)
+            register_programs(engine, translation, actions, comps)
+            engine.register_definition(translation.process)
+            iid = engine.start_process(translation.process_name, dict(ctx))
+            engine.run()
+            outcomes.append(workflow_outcome(engine, translation, iid))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestSpecLanguageIntegration:
     TEXT = """
@@ -186,21 +210,18 @@ class TestSpecLanguageIntegration:
         actions, comps = bindings(db)
         translation = translate_contract(CONTRACT)
         engine = Engine()
-        register_contract_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         pipeline = FMTMPipeline(engine)
         report = pipeline.process_specification(self.TEXT)
         assert report.process_name == "Contract_order"
         iid = engine.start_process(report.process_name, {"Amount": 500})
         engine.run()
-        outcome = workflow_contract_outcome(engine, report.translation, iid)
+        outcome = workflow_outcome(engine, report.translation, iid)
         assert outcome.committed
 
     def test_dag_saga_through_pipeline(self):
-        from repro.core.parallel_saga import (
-            register_parallel_saga_programs,
-            translate_parallel_saga,
-            workflow_parallel_saga_outcome,
-        )
+        from repro.core.parallel_saga import translate_parallel_saga
+        from repro.core.bindings import register_programs, workflow_outcome
         from repro.core.sagas import SagaSpec, SagaStep
         from repro.workloads.generator import saga_bindings
 
@@ -222,13 +243,11 @@ class TestSpecLanguageIntegration:
         actions, comps = saga_bindings(spec, db)
         translation = translate_parallel_saga(spec)
         engine = Engine()
-        register_parallel_saga_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         pipeline = FMTMPipeline(engine)
         report = pipeline.process_specification(text)
         assert report.process_name == "PSaga_dag"
         iid = pipeline.create_instance(report)
         engine.run()
-        outcome = workflow_parallel_saga_outcome(
-            engine, report.translation, iid
-        )
+        outcome = workflow_outcome(engine, report.translation, iid)
         assert outcome.committed

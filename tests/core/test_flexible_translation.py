@@ -8,13 +8,12 @@ from repro.tx import (
     AbortScript,
     FailNTimes,
     SimDatabase,
+    Subtransaction,
 )
+from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
 from repro.wfms.model import ActivityKind, StartCondition
-from repro.core.bindings import (
-    register_flexible_programs,
-    workflow_flexible_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible import FlexibleMember, FlexibleSpec, NativeFlexibleExecutor
 from repro.core.flexible_translator import translate_flexible
 from repro.workloads.banking import fig3_bindings, fig3_spec
@@ -26,7 +25,7 @@ def run_workflow_flexible(spec, policies=None, db=None):
     actions, comps = fig3_bindings(db, policies or {})
     translation = translate_flexible(spec)
     engine = Engine()
-    register_flexible_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished
@@ -157,7 +156,7 @@ class TestExecution:
 
     def test_all_commit_takes_preferred_path(self):
         engine, tr, result, db = run_workflow_flexible(fig3_spec())
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.committed
         assert out.committed_path == ["t1", "t2", "t4", "t5", "t6", "t8"]
         assert out.compensated == []
@@ -168,7 +167,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t1": AbortScript([1])}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert not out.committed
         assert out.compensated == []
         dead = set(result.dead_activities)
@@ -178,7 +177,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t2": AbortScript([1])}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert not out.committed
         assert out.compensated == ["t1"]
         assert db.get("t1") == 0
@@ -187,7 +186,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t4": AbortScript([1]), "t3": FailNTimes(3)}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.committed
         assert out.committed_path == ["t1", "t2", "t3"]
         assert engine.audit.attempts(result.instance_id, "t3") == 4
@@ -196,7 +195,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t8": AbortScript([1])}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.committed
         assert out.committed_path == ["t1", "t2", "t4", "t7"]
         assert out.compensated == ["t6", "t5"]
@@ -208,7 +207,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t5": AbortScript([1])}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.committed
         assert out.committed_path == ["t1", "t2", "t4", "t7"]
         assert out.compensated == []
@@ -217,7 +216,7 @@ class TestExecution:
         engine, tr, result, db = run_workflow_flexible(
             fig3_spec(), {"t6": AbortScript([1])}
         )
-        out = workflow_flexible_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.compensated == ["t5"]
         assert db.get("t5") == 0
 
@@ -248,7 +247,7 @@ class TestParityWithNative:
         engine, tr, result, wf_db = run_workflow_flexible(
             spec, dict(policies)
         )
-        wf = workflow_flexible_outcome(engine, tr, result.instance_id)
+        wf = workflow_outcome(engine, tr, result.instance_id)
         assert native.committed == wf.committed
         assert native.committed_path == wf.committed_path
         assert sorted(native.committed_members) == sorted(wf.committed_members)
@@ -288,11 +287,77 @@ class TestParityWithNative:
         )
         translation = translate_flexible(spec)
         engine = Engine()
-        register_flexible_programs(engine, translation, actions2, comps2)
+        register_programs(engine, translation, actions2, comps2)
         engine.register_definition(translation.process)
         result = engine.run_process(translation.process_name)
-        wf = workflow_flexible_outcome(engine, translation, result.instance_id)
+        wf = workflow_outcome(engine, translation, result.instance_id)
 
         assert native.committed == wf.committed, seed
         assert native.committed_path == wf.committed_path, seed
         assert native_db.snapshot() == wf_db.snapshot(), seed
+
+
+class TestSharedMember:
+    """d sits on both alternatives, after c on one and after x on the
+    other.  Abandoning an alternative after d committed must still
+    compensate the members before d on *that* alternative, and d
+    running again on the next alternative ends committed."""
+
+    PATHS = [list("acdf"), list("abxde")]
+
+    @staticmethod
+    def run(paths, abort):
+        spec = FlexibleSpec(
+            "shared",
+            [FlexibleMember(n, compensatable=True) for n in "acdbx"]
+            + [FlexibleMember("f"), FlexibleMember("e", retriable=True)],
+            paths,
+        )
+        results = []
+        for native in (True, False):
+            db = SimDatabase()
+            actions = {
+                n: Subtransaction(n, db, write_value(n, 1))
+                for n in spec.members
+            }
+            if abort:
+                actions[abort].policy = AbortScript([1])
+            comps = {
+                n: Subtransaction("c" + n, db, write_value(n, 0))
+                for n in "acdbx"
+            }
+            if native:
+                outcome = NativeFlexibleExecutor(spec, actions, comps).run()
+            else:
+                translation = translate_flexible(spec)
+                engine = Engine()
+                register_programs(engine, translation, actions, comps)
+                engine.register_definition(translation.process)
+                result = engine.run_process(translation.process_name)
+                outcome = workflow_outcome(
+                    engine, translation, result.instance_id
+                )
+            results.append((outcome, db.snapshot()))
+        return results
+
+    def test_abandoned_alternative_fully_compensated(self):
+        (native, native_db), (wf, wf_db) = self.run(self.PATHS, "f")
+        assert wf_db["c"] == 0
+        assert wf.committed_path == ["a", "b", "x", "d", "e"]
+        # The workflow compensates d and runs it again; the native
+        # executor keeps d, which the next alternative also needs.
+        assert wf.compensated == ["d", "c"]
+        assert native.compensated == ["c"]
+
+    # An abort of d itself is left out: the native executor treats the
+    # aborted d as dead on every alternative, the workflow runs it again.
+    @pytest.mark.parametrize("abort", [None, "a", "c", "b", "x", "f", "e"])
+    @pytest.mark.parametrize(
+        "order", [0, 1], ids=["acdf-first", "abxde-first"]
+    )
+    def test_parity_with_native(self, order, abort):
+        paths = self.PATHS if order == 0 else self.PATHS[::-1]
+        (native, native_db), (wf, wf_db) = self.run(paths, abort)
+        assert wf.committed == native.committed
+        assert wf.committed_path == native.committed_path
+        assert wf_db == native_db

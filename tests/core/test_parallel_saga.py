@@ -4,13 +4,11 @@ case"."""
 
 import pytest
 
+from repro.store import DurableStore
 from repro.tx import AbortScript, FailNTimes, SimDatabase
 from repro.wfms.engine import Engine
-from repro.core.parallel_saga import (
-    register_parallel_saga_programs,
-    translate_parallel_saga,
-    workflow_parallel_saga_outcome,
-)
+from repro.core.parallel_saga import translate_parallel_saga
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.sagas import NativeSagaExecutor, SagaSpec, SagaStep
 from repro.workloads.generator import saga_bindings
 
@@ -26,13 +24,11 @@ def run_workflow(spec, policies):
     actions, comps = saga_bindings(spec, db, policies=dict(policies))
     translation = translate_parallel_saga(spec)
     engine = Engine()
-    register_parallel_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished
-    outcome = workflow_parallel_saga_outcome(
-        engine, translation, result.instance_id
-    )
+    outcome = workflow_outcome(engine, translation, result.instance_id)
     return engine, outcome, db
 
 
@@ -79,12 +75,10 @@ class TestDAGSagas:
         comps["a"].policy = FailNTimes(2)
         translation = translate_parallel_saga(DIAMOND)
         engine = Engine()
-        register_parallel_saga_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         engine.register_definition(translation.process)
         result = engine.run_process(translation.process_name)
-        outcome = workflow_parallel_saga_outcome(
-            engine, translation, result.instance_id
-        )
+        outcome = workflow_outcome(engine, translation, result.instance_id)
         assert "a" in outcome.compensated
         assert comps["a"].attempts == 3
 
@@ -158,3 +152,32 @@ class TestStructure:
         gate = translation.process.control_connectors[0]
         for name in "abcd":
             assert "State_%s = 0" % name in gate.condition.source
+
+
+class TestStoreBackedEngine:
+    """A store-backed engine archives and evicts a finished root: the
+    outcome must come from what the engine still answers for it."""
+
+    @pytest.mark.parametrize("abort", [None, "a", "b", "c"])
+    def test_outcome_same_with_and_without_store(self, tmp_path, abort):
+        spec = SagaSpec(
+            "fork",
+            [SagaStep(n) for n in "abc"],
+            order=[("a", "b"), ("a", "c")],
+        )
+        outcomes = []
+        for engine in (Engine(), Engine(store=DurableStore(tmp_path))):
+            policies = {abort: AbortScript([1])} if abort else {}
+            actions, comps = saga_bindings(
+                spec, SimDatabase(), policies=policies
+            )
+            translation = translate_parallel_saga(spec)
+            register_programs(engine, translation, actions, comps)
+            engine.register_definition(translation.process)
+            result = engine.run_process(translation.process_name)
+            outcomes.append(
+                workflow_outcome(engine, translation, result.instance_id)
+            )
+        assert outcomes[0] == outcomes[1]
+        if abort == "c":
+            assert outcomes[1].compensated == ["b", "a"]

@@ -8,10 +8,7 @@ from repro.tx import AbortScript, FailNTimes, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
 from repro.wfms.model import ActivityKind, StartCondition
-from repro.core.bindings import (
-    register_saga_programs,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.compblock import state_var
 from repro.core.sagas import (
     NativeSagaExecutor,
@@ -43,7 +40,7 @@ def run_workflow_saga(spec, abort_at=None, comp_policies=None, **kwargs):
     actions, comps = make_bindings(spec, db, abort_at, comp_policies)
     translation = translate_saga(spec, **kwargs)
     engine = Engine()
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished
@@ -148,7 +145,7 @@ class TestExecution:
             "s", [SagaStep("t%d" % i) for i in range(1, n + 1)]
         )
         engine, tr, result, db, __ = run_workflow_saga(spec)
-        out = workflow_saga_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.committed
         assert out.executed == [s.name for s in spec.steps]
         assert out.compensated == []
@@ -163,7 +160,7 @@ class TestExecution:
         )
         abort_at = "t%d" % abort_index
         engine, tr, result, db, __ = run_workflow_saga(spec, abort_at)
-        out = workflow_saga_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert not out.committed
         assert verify_saga_guarantee(spec, out.executed, out.compensated)
         assert len(out.executed) == abort_index - 1
@@ -176,7 +173,7 @@ class TestExecution:
         engine, tr, result, db, comps = run_workflow_saga(
             spec, abort_at="t2", comp_policies={"t1": FailNTimes(3)}
         )
-        out = workflow_saga_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.compensated == ["t1"]
         assert comps["t1"].attempts == 4
 
@@ -185,7 +182,7 @@ class TestExecution:
         engine, tr, result, db, __ = run_workflow_saga(
             spec, compensate_completed=True
         )
-        out = workflow_saga_outcome(engine, tr, result.instance_id)
+        out = workflow_outcome(engine, tr, result.instance_id)
         assert out.executed == ["t1", "t2"]
         assert out.compensated == ["t2", "t1"]
 
@@ -211,7 +208,7 @@ class TestParityWithNative:
             native = NativeSagaExecutor(spec, actions, comps).run()
 
             engine, tr, result, wf_db, __ = run_workflow_saga(spec, abort_at)
-            wf = workflow_saga_outcome(engine, tr, result.instance_id)
+            wf = workflow_outcome(engine, tr, result.instance_id)
 
             assert native.committed == wf.committed, abort_at
             assert native.executed == wf.executed, abort_at

@@ -15,7 +15,7 @@ from repro.tx.subtransaction import write_value
 from repro.tx.failures import AbortScript
 from repro.wfms.engine import Engine
 from repro.wfms.model import StartCondition
-from repro.core.bindings import register_saga_programs
+from repro.core.bindings import register_programs
 from repro.core.sagas import SagaSpec, SagaStep
 from repro.core.saga_translator import translate_saga
 from repro.core.scoped import (
@@ -74,7 +74,7 @@ def run_per_activity(spec, abort_at=None):
         )
     translation = translate_saga(spec)
     engine = Engine()
-    register_saga_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished

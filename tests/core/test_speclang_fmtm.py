@@ -19,12 +19,7 @@ from repro.core.speclang import (
     parse_spec,
     parse_specs,
 )
-from repro.core.bindings import (
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible_translator import translate_flexible
 from repro.core.saga_translator import translate_saga
 from repro.workloads.banking import fig3_bindings, fig3_spec
@@ -133,7 +128,7 @@ class TestPipeline:
             s.name: Subtransaction("c" + s.name, db, write_value(s.name, 0))
             for s in spec.steps
         }
-        register_saga_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         return engine, db
 
     def test_all_stages_run_in_order(self):
@@ -149,7 +144,7 @@ class TestPipeline:
         assert report.process_name == "Saga_travel"
         iid = pipeline.create_instance(report)
         engine.run()
-        out = workflow_saga_outcome(engine, report.translation, iid)
+        out = workflow_outcome(engine, report.translation, iid)
         assert out.committed
         assert out.executed == ["flight", "hotel"]
 
@@ -167,12 +162,12 @@ class TestPipeline:
         spec = fig3_spec()
         translation = translate_flexible(spec)
         actions, comps = fig3_bindings(db, {"t8": AbortScript([1])})
-        register_flexible_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         pipeline = FMTMPipeline(engine)
         report = pipeline.process_specification(FLEX_TEXT)
         iid = pipeline.create_instance(report)
         engine.run()
-        out = workflow_flexible_outcome(engine, report.translation, iid)
+        out = workflow_outcome(engine, report.translation, iid)
         assert out.committed
         assert out.committed_path == ["t1", "t2", "t4", "t7"]
         assert out.compensated == ["t6", "t5"]

@@ -25,15 +25,9 @@ Invariants asserted:
 
 import pytest
 
-from repro.core.bindings import (
-    SAGA_ABORT_RC,
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible_translator import FLEX_ABORT_RC, translate_flexible
-from repro.core.saga_translator import translate_saga
+from repro.core.saga_translator import SAGA_ABORT_RC, translate_saga
 from repro.core.sagas import SagaSpec, SagaStep, verify_saga_guarantee
 from repro.resilience import (
     FaultInjector,
@@ -121,7 +115,7 @@ def run_saga_chaos(
 
     def build():
         engine = make_engine(directory, injector)
-        register_saga_programs(engine, translation, actions, comps)
+        register_programs(engine, translation, actions, comps)
         engine.register_definition(translation.process)
         for step in SAGA.steps:
             engine.set_retry(
@@ -141,7 +135,7 @@ def run_saga_chaos(
         build, lambda e: e.start_process(translation.process_name)
     )
     assert engine.instance_state(iid) == "finished"
-    outcome = workflow_saga_outcome(engine, translation, iid)
+    outcome = workflow_outcome(engine, translation, iid)
     archived = engine.store_status().get("archived_roots")
     engine.close()
     return outcome, db.snapshot(), injector.trace(), archived
@@ -236,7 +230,7 @@ def run_flexible_chaos(seed):
         chaos_rules(program_p=0.2, max_fires=3), seed=seed
     )
     engine = Engine(fault_injector=injector)
-    register_flexible_programs(engine, translation, actions, comps)
+    register_programs(engine, translation, actions, comps)
     engine.register_definition(translation.process)
     # §4.2 typing: retriable members get a budget that outlasts the
     # fault cap; pivots/compensatables escalate into the abort path
@@ -247,7 +241,7 @@ def run_flexible_chaos(seed):
     iid = engine.start_process(translation.process_name)
     engine.drain()
     assert engine.instance_state(iid) == "finished"
-    outcome = workflow_flexible_outcome(engine, translation, iid)
+    outcome = workflow_outcome(engine, translation, iid)
     return outcome, db.snapshot(), injector.trace()
 
 

@@ -16,12 +16,7 @@ recovery ran a step a second time.
 import pytest
 
 from repro.core import SagaSpec, SagaStep, translate_flexible, translate_saga
-from repro.core.bindings import (
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.store import DurableStore
 from repro.tx import AbortProbability, AlwaysAbort, SimDatabase
 from repro.wfms import Engine
@@ -40,7 +35,7 @@ def saga_scenario(policies):
     def bind():
         return saga_bindings(spec, SimDatabase(), policies=policies())
 
-    return translation, bind, register_saga_programs, workflow_saga_outcome
+    return translation, bind, register_programs, workflow_outcome
 
 
 def fig3_scenario():
@@ -56,8 +51,8 @@ def fig3_scenario():
     return (
         translation,
         bind,
-        register_flexible_programs,
-        workflow_flexible_outcome,
+        register_programs,
+        workflow_outcome,
     )
 
 

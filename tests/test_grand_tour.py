@@ -16,10 +16,7 @@ import pytest
 from repro.tx import AbortScript, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
-from repro.core.bindings import (
-    register_saga_programs,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.fmtm import FMTMPipeline
 from repro.core.sagas import verify_saga_guarantee
 from repro.core.saga_translator import translate_saga
@@ -63,7 +60,7 @@ def build_engine(journal_path, database, counters, *, abort_t3=True):
         compensations[step.name] = CountingSubtransaction(
             "c_" + step.name, database, write_value(step.name, 0), counters
         )
-    register_saga_programs(engine, translation, actions, compensations)
+    register_programs(engine, translation, actions, compensations)
     pipeline = FMTMPipeline(engine)
     report = pipeline.process_specification(SPEC_TEXT)
     return engine, report
@@ -78,7 +75,7 @@ class TestGrandTour:
         )
         iid = engine.start_process(report.process_name)
         engine.run()
-        outcome = workflow_saga_outcome(engine, report.translation, iid)
+        outcome = workflow_outcome(engine, report.translation, iid)
         assert outcome.committed
         assert database.snapshot() == {"t1": 1, "t2": 1, "t3": 1}
         assert counters == {"t1": 1, "t2": 1, "t3": 1}
@@ -104,7 +101,7 @@ class TestGrandTour:
         engine2.recover()
         engine2.run()
         assert engine2.instance_state(iid) == "finished"
-        outcome = workflow_saga_outcome(engine2, report2.translation, iid)
+        outcome = workflow_outcome(engine2, report2.translation, iid)
         spec = report2.spec
         assert verify_saga_guarantee(
             spec, outcome.executed, outcome.compensated
@@ -140,7 +137,7 @@ class TestGrandTour:
         engine3.recover()
         engine3.run()
         assert engine3.instance_state(iid) == "finished"
-        outcome = workflow_saga_outcome(engine3, report3.translation, iid)
+        outcome = workflow_outcome(engine3, report3.translation, iid)
         assert outcome.compensated == ["t2", "t1"]
         assert counters == {
             "t1": 1, "t2": 1, "t3": 1, "c_t1": 1, "c_t2": 1
@@ -171,7 +168,7 @@ class TestGrandTour:
             )
             for s in spec.steps
         }
-        register_saga_programs(fresh, translation, actions, comps)
+        register_programs(fresh, translation, actions, comps)
         import_text(report.fdl_text).register_into(fresh)
         result = fresh.run_process(report.process_name)
         assert result.finished

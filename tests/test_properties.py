@@ -29,12 +29,7 @@ from repro.tx.lockmgr import LockManager, LockMode
 from repro.tx.subtransaction import write_value
 from repro.wfms import Activity, Engine, ProcessDefinition
 from repro.wfms.conditions import parse_condition
-from repro.core.bindings import (
-    register_flexible_programs,
-    register_saga_programs,
-    workflow_flexible_outcome,
-    workflow_saga_outcome,
-)
+from repro.core.bindings import register_programs, workflow_outcome
 from repro.core.flexible import NativeFlexibleExecutor
 from repro.core.flexible_translator import translate_flexible
 from repro.core.sagas import (
@@ -91,11 +86,11 @@ def test_saga_guarantee_native_and_workflow(scenario):
     actions2, comps2 = saga_bindings(spec, wf_db, policies=dict(policies))
     translation = translate_saga(spec)
     engine = Engine()
-    register_saga_programs(engine, translation, actions2, comps2)
+    register_programs(engine, translation, actions2, comps2)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished
-    wf = workflow_saga_outcome(engine, translation, result.instance_id)
+    wf = workflow_outcome(engine, translation, result.instance_id)
     assert verify_saga_guarantee(spec, wf.executed, wf.compensated)
     assert wf.executed == native.executed
     assert wf.compensated == native.compensated
@@ -132,11 +127,11 @@ def test_flexible_termination_and_parity(branches, seed, abort_probability):
     )
     translation = translate_flexible(spec)
     engine = Engine()
-    register_flexible_programs(engine, translation, actions2, comps2)
+    register_programs(engine, translation, actions2, comps2)
     engine.register_definition(translation.process)
     result = engine.run_process(translation.process_name)
     assert result.finished
-    wf = workflow_flexible_outcome(engine, translation, result.instance_id)
+    wf = workflow_outcome(engine, translation, result.instance_id)
     assert wf.committed == native.committed
     assert wf.committed_path == native.committed_path
     assert wf_db.snapshot() == native_db.snapshot()

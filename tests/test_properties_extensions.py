@@ -17,10 +17,9 @@ from repro.core.contract import (
     ContractSpec,
     ContractStep,
     NativeContractExecutor,
-    register_contract_programs,
     translate_contract,
-    workflow_contract_outcome,
 )
+from repro.core.bindings import register_programs, workflow_outcome
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +167,11 @@ def test_contract_native_workflow_parity(x, abort_step):
     actions2, comps2 = bindings(wf_db)
     translation = translate_contract(SPEC)
     engine = Engine()
-    register_contract_programs(engine, translation, actions2, comps2)
+    register_programs(engine, translation, actions2, comps2)
     engine.register_definition(translation.process)
     iid = engine.start_process(translation.process_name, {"X": x})
     engine.run()
-    workflow = workflow_contract_outcome(engine, translation, iid)
+    workflow = workflow_outcome(engine, translation, iid)
 
     assert workflow.committed == native.committed
     assert workflow.executed == native.executed

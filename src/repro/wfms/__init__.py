@@ -32,7 +32,6 @@ from repro.wfms.distributed import WorkflowNode, run_cluster
 from repro.wfms.sharding import (
     ANY_SHARD,
     ShardedEngine,
-    ShardNode,
     shard_of,
 )
 from repro.wfms.simulate import ActivityProfile, SimulationReport, simulate
@@ -52,7 +51,6 @@ __all__ = [
     "DefinitionRegistry",
     "Engine",
     "MessageBus",
-    "ShardNode",
     "ShardedEngine",
     "SimulationReport",
     "WorkflowNode",

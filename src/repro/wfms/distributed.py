@@ -55,7 +55,8 @@ Timeout/breaker/dead-letter decisions emit ``RequestTimedOut``,
 ``BreakerTransition`` and ``MessageDeadLettered`` events plus
 counters.
 
-Use :func:`run_cluster` to drive all nodes to quiescence.
+Use :func:`run_cluster` to drive all nodes to quiescence, one
+:func:`pump_round` per round.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class WorkflowNode:
     * ``breaker_factory`` — zero-argument callable building one
       :class:`~repro.resilience.policies.CircuitBreaker` per remote
       node, or ``None`` for no breaker;
+    * ``route`` — ``(target, request_id) -> node name`` resolving a
+      remote activity's target once per request (sharding maps
+      :data:`~repro.wfms.sharding.ANY_SHARD` to the owning shard);
     * ``fault_injector`` — a
       :class:`~repro.resilience.faults.FaultInjector` threaded into
       the engine (program/journal faults) and consulted by
@@ -128,6 +132,7 @@ class WorkflowNode:
         breaker_factory=None,
         fault_injector=None,
         store_factory=None,
+        route=None,
     ):
         if not name:
             raise WorkflowError("node name must be non-empty")
@@ -153,6 +158,7 @@ class WorkflowNode:
         self._poll_interval = poll_interval
         self._breaker_factory = breaker_factory
         self._injector = fault_injector
+        self._route = route or (lambda target, request_id: target)
         # Resolved once and reused by rebuild(), so counters and spans
         # accumulate across this node's crash/recover cycles.
         self.obs = resolve_observability(observability)
@@ -263,22 +269,23 @@ class WorkflowNode:
     ):
         def program(ctx) -> int:
             request_id = "%s/%s/%s" % (self.name, ctx.instance_id, ctx.activity)
+            target = self._route(node, request_id)
             now = self.engine.clock
             reply = self._replies.pop(request_id, None)
             if reply is not None:
                 self._requested.pop(request_id, None)
-                breaker = self._breakers.get(node)
+                breaker = self._breakers.get(target)
                 if reply.get("state") == "error":
                     # The server could not produce the result (served
                     # instance lost); treat like a timed-out request.
                     if breaker is not None:
                         breaker.record_failure(now)
-                        self._note_breaker(node, breaker)
+                        self._note_breaker(target, breaker)
                     ctx.output.set("Done", 1)
                     return escalate_rc
                 if breaker is not None:
                     breaker.record_success(now)
-                    self._note_breaker(node, breaker)
+                    self._note_breaker(target, breaker)
                 output = reply.get("output", {})
                 for decl in outputs:
                     if decl.name in output:
@@ -287,30 +294,30 @@ class WorkflowNode:
                 return 0
             state = self._requested.get(request_id)
             if state is None:
-                breaker = self._breaker_for(node)
+                breaker = self._breaker_for(target)
                 if breaker is not None and not breaker.allow(now):
                     # Open breaker: fail fast instead of paying the
                     # timeout against a known-dead counterpart.
-                    self._note_breaker(node, breaker)
+                    self._note_breaker(target, breaker)
                     ctx.output.set("Done", 1)
                     return escalate_rc
-                self._send_request(ctx, request_id, node, process, inputs)
+                self._send_request(ctx, request_id, target, process, inputs)
                 self._requested[request_id] = [now, retries]
             elif timeout is not None and now - state[0] >= timeout:
-                breaker = self._breakers.get(node)
+                breaker = self._breakers.get(target)
                 if breaker is not None:
                     breaker.record_failure(now)
-                    self._note_breaker(node, breaker)
+                    self._note_breaker(target, breaker)
                 if state[1] > 0:
                     # Spend one re-send from the budget: the original
                     # request (or its reply) may simply be lost.
                     state[0] = now
                     state[1] -= 1
-                    self._send_request(ctx, request_id, node, process, inputs)
-                    self._note_timeout(node, request_id, "resent", now)
+                    self._send_request(ctx, request_id, target, process, inputs)
+                    self._note_timeout(target, request_id, "resent", now)
                 else:
                     self._requested.pop(request_id, None)
-                    self._note_timeout(node, request_id, "escalated", now)
+                    self._note_timeout(target, request_id, "escalated", now)
                     ctx.output.set("Done", 1)
                     return escalate_rc
             ctx.output.set("Done", 0)
@@ -555,17 +562,48 @@ class WorkflowNode:
         self.engine.recover()
 
 
+def pump_round(
+    nodes: list[WorkflowNode], *, steps_per_round: int, rng=None
+) -> bool:
+    """One round: each live node gets up to ``steps_per_round``
+    engine steps and one message pump; True when any progressed.
+
+    Nodes are visited in list order, or with ``rng`` in the order of
+    one ``rng.shuffle(list(range(len(nodes))))`` draw, taken before
+    crashed nodes are skipped so a crash never shifts later draws.  An
+    injected crash propagates; the RNG is not rewound, so recovering
+    the node and pumping on stays replayable.
+    """
+    if rng is not None:
+        order = list(range(len(nodes)))
+        rng.shuffle(order)
+        nodes = [nodes[index] for index in order]
+    progressed = False
+    for node in nodes:
+        if node.engine.crashed:
+            continue
+        for __ in range(steps_per_round):
+            if not node.engine.step():
+                break
+            progressed = True
+        if node.pump():
+            progressed = True
+    return progressed
+
+
 def run_cluster(
     nodes: list[WorkflowNode],
     *,
     watch: list[tuple[WorkflowNode, str]] | None = None,
     max_rounds: int = 10_000,
     steps_per_round: int = 50,
+    rng=None,
 ) -> int:
     """Drive every node until the watched instances finish (or, with no
     watch list, until the whole cluster quiesces).  Returns rounds.
 
-    Crashed engines are skipped (the driver decides when to
+    Each round is one :func:`pump_round` (``rng`` seeds its visit
+    order); crashed engines are skipped (the driver decides when to
     ``rebuild``).  A round with no progress first lets logical time
     pass — each node's clock advances to its earliest due timer (retry
     backoff, poll interval), releasing that work.  When nothing
@@ -576,36 +614,27 @@ def run_cluster(
     instead of silently burning the remaining rounds.
     """
     for round_number in range(1, max_rounds + 1):
-        progressed = False
-        for node in nodes:
-            if node.engine.crashed:
-                continue
-            for __ in range(steps_per_round):
-                if not node.engine.step():
-                    break
-                progressed = True
-            if node.pump():
-                progressed = True
-        if watch is not None:
-            if all(
-                _watch_state(node, instance_id) == "finished"
-                for node, instance_id in watch
-            ):
-                return round_number
-        elif not progressed and not _advance_to_timers(nodes):
+        progressed = pump_round(
+            nodes, steps_per_round=steps_per_round, rng=rng
+        )
+        if watch is not None and all(
+            _watch_state(node, instance_id) == "finished"
+            for node, instance_id in watch
+        ):
             return round_number
-        if not progressed and watch is not None:
-            if not _advance_to_timers(nodes):
-                stuck = [
-                    "%s on %s (%s)"
-                    % (instance_id, node.name, _watch_state(node, instance_id))
-                    for node, instance_id in watch
-                    if _watch_state(node, instance_id) != "finished"
-                ]
-                raise WorkflowError(
-                    "cluster deadlocked: no node can make progress and no "
-                    "timers are due; stuck instances: %s" % "; ".join(stuck)
-                )
+        if not progressed and not _advance_to_timers(nodes):
+            if watch is None:
+                return round_number
+            stuck = [
+                "%s on %s (%s)"
+                % (instance_id, node.name, _watch_state(node, instance_id))
+                for node, instance_id in watch
+                if _watch_state(node, instance_id) != "finished"
+            ]
+            raise WorkflowError(
+                "cluster deadlocked: no node can make progress and no "
+                "timers are due; stuck instances: %s" % "; ".join(stuck)
+            )
     raise WorkflowError(
         "cluster did not converge within %d rounds" % max_rounds
     )

@@ -14,23 +14,24 @@ exactly the projection-stability contract of the distributed-execution
 model in PAPERS.md (each shard's local view is the projection of the
 global process onto the instances it owns).
 
-**Cross-shard traffic rides the existing MessageBus envelopes.**  A
-definition that needs work on another shard uses an ordinary remote
-activity whose target node is the :data:`ANY_SHARD` sentinel; the
-sending shard resolves the sentinel to ``shard_of(request_id)`` at
-send time, so the same request id always lands on the same shard —
-after a requester crash/replay the re-sent request is deduplicated by
-the server exactly as in a `WorkflowNode` cluster.  Nack/redelivery,
-dead-lettering, per-queue stats and span-context headers are all
-unchanged; sharding multiplies queues, not mechanisms.
+**Sharding is a routing rule.**  The shards are plain ``WorkflowNode``
+objects built with one ``route`` callable.  A definition that needs
+work on another shard uses an ordinary remote activity whose target
+node is the :data:`ANY_SHARD` sentinel; the requesting node resolves it
+through ``route`` to ``shard_of(request_id)`` once per request, so its
+breaker, send and timeout events all name the real shard, and the same
+request id always lands on the same shard — after a requester
+crash/replay the re-sent request is deduplicated by the server.
+Nack/redelivery, dead-lettering, per-queue stats and span-context
+headers are all unchanged; sharding multiplies queues, not mechanisms.
 
-**Determinism.**  Pumping is a seeded round-robin: each
-:meth:`ShardedEngine.pump_round` shuffles the shard visit order with a
-private ``random.Random(seed)`` and gives every live shard a bounded
-step slice plus one message pump.  With a shared
-:class:`~repro.resilience.faults.FaultInjector`, fault decisions are
-consumed in that deterministic order, so chaos traces are bit-identical
-across runs — the same contract the single-engine chaos suite enforces.
+**Determinism.**  :meth:`ShardedEngine.run` is
+:func:`~repro.wfms.distributed.run_cluster` with
+``rng=random.Random(seed)``, one shuffled shard visit order per round.
+With a shared :class:`~repro.resilience.faults.FaultInjector`, fault
+decisions are consumed in that deterministic order, so chaos traces
+are bit-identical across runs — the same contract the single-engine
+chaos suite enforces.
 
 **Per-shard recovery.**  ``crash_shard(i)`` tears one shard's volatile
 state (in-flight bus messages recover for redelivery);
@@ -53,9 +54,10 @@ from typing import Any, Callable
 from repro.errors import NavigationError, WorkflowError
 from repro.wfms.distributed import (
     WorkflowNode,
-    _advance_to_timers,
     _inbox,
     _reply_queue,
+    pump_round,
+    run_cluster,
 )
 from repro.wfms.messaging import MessageBus
 from repro.wfms.model import ProcessDefinition
@@ -76,22 +78,6 @@ def shard_of(key: str, num_shards: int) -> int:
     if num_shards < 1:
         raise WorkflowError("num_shards must be >= 1")
     return zlib.crc32(key.encode("utf-8")) % num_shards
-
-
-class ShardNode(WorkflowNode):
-    """One shard: a WorkflowNode whose outgoing remote requests may
-    target :data:`ANY_SHARD`, resolved through the cluster's partition
-    rule at send time (after a crash/replay the re-sent request
-    resolves identically, preserving server-side deduplication)."""
-
-    def __init__(self, cluster: "ShardedEngine", name: str, bus, **kwargs):
-        super().__init__(name, bus, **kwargs)
-        self._cluster = cluster
-
-    def _send_request(self, ctx, request_id, node, process, inputs) -> None:
-        if node == ANY_SHARD:
-            node = self._cluster.shard_name_for_key(request_id)
-        super()._send_request(ctx, request_id, node, process, inputs)
 
 
 class ShardedEngine:
@@ -144,7 +130,6 @@ class ShardedEngine:
         self.num_shards = num_shards
         self.seed = seed
         self.bus = bus if bus is not None else MessageBus()
-        self._injector = fault_injector
         if fault_injector is not None:
             self.bus.install_injector(fault_injector)
         self._steps_per_slice = steps_per_slice
@@ -152,7 +137,7 @@ class ShardedEngine:
         self._sequence = 0
         self._configurers: list[Callable[[WorkflowNode], None]] = []
         self._services: dict[str, Any] = {}
-        self.shards: list[ShardNode] = []
+        self.shards: list[WorkflowNode] = []
         for index in range(num_shards):
             name = "shard-%d" % index
             journal_path = None
@@ -172,8 +157,7 @@ class ShardedEngine:
                     return DurableStore(path, **options)
 
             self.shards.append(
-                ShardNode(
-                    self,
+                WorkflowNode(
                     name,
                     self.bus,
                     journal_path=journal_path,
@@ -185,6 +169,7 @@ class ShardedEngine:
                     request_retries=request_retries,
                     poll_interval=poll_interval,
                     fault_injector=fault_injector,
+                    route=self._route,
                 )
             )
 
@@ -193,10 +178,17 @@ class ShardedEngine:
     def shard_name_for_key(self, key: str) -> str:
         return "shard-%d" % shard_of(key, self.num_shards)
 
+    def _route(self, target: str, request_id: str) -> str:
+        """Every shard's ``route``: :data:`ANY_SHARD` names the shard
+        owning the request id; any other target stands as named."""
+        if target == ANY_SHARD:
+            return self.shard_name_for_key(request_id)
+        return target
+
     def shard_index_for_root(self, root_id: str) -> int:
         """The shard owning a *root* instance id.  Served cross-shard
         instances (``req/<request_id>``) hash by the request id — the
-        same rule :class:`ShardNode` used to route the request."""
+        same rule :meth:`_route` used to route the request."""
         if root_id.startswith("req/"):
             return shard_of(root_id[len("req/"):], self.num_shards)
         return shard_of(root_id, self.num_shards)
@@ -259,47 +251,24 @@ class ShardedEngine:
         return instance_id
 
     def pump_round(self) -> bool:
-        """One deterministic scheduler round: visit every live shard in
-        seeded-shuffled order, give each a bounded step slice and one
-        message pump.  True when any shard made progress.
-
-        An injected pump crash (:class:`InjectedCrash`) or journal
-        failure propagates to the caller after the shard has crashed
-        itself; the caller recovers that shard and keeps pumping — the
-        RNG stream is not rewound, so recovery runs are replayable.
-        """
-        order = list(range(self.num_shards))
-        self._rng.shuffle(order)
-        progressed = False
-        for index in order:
-            node = self.shards[index]
-            if node.engine.crashed:
-                continue
-            for __ in range(self._steps_per_slice):
-                if not node.engine.step():
-                    break
-                progressed = True
-            if node.pump():
-                progressed = True
-        return progressed
+        """One seeded scheduler round; see
+        :func:`~repro.wfms.distributed.pump_round`."""
+        return pump_round(
+            self.shards, steps_per_round=self._steps_per_slice, rng=self._rng
+        )
 
     def run(self, max_rounds: int = 10_000) -> int:
-        """Pump all shards to quiescence; returns rounds taken.
-
-        A round with no progress first advances each shard's logical
-        clock to its earliest due timer (poll intervals, retry
-        backoff); when no timers remain either, the cluster is idle.
-        """
-        for round_number in range(1, max_rounds + 1):
-            if all(node.engine.crashed for node in self.shards):
-                raise WorkflowError(
-                    "every shard is crashed; recover before running"
-                )
-            progressed = self.pump_round()
-            if not progressed and not _advance_to_timers(self.shards):
-                return round_number
-        raise WorkflowError(
-            "sharded engine did not converge within %d rounds" % max_rounds
+        """Pump all shards to quiescence (:func:`run_cluster` with the
+        seeded visit order); returns rounds taken."""
+        if all(node.engine.crashed for node in self.shards):
+            raise WorkflowError(
+                "every shard is crashed; recover before running"
+            )
+        return run_cluster(
+            self.shards,
+            rng=self._rng,
+            steps_per_round=self._steps_per_slice,
+            max_rounds=max_rounds,
         )
 
     def advance_clock(self, delta: float) -> None:

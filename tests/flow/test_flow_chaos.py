@@ -35,7 +35,11 @@ from repro.flow import (
 from repro.net import BusServerThread
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.datatypes import DataType, VariableDecl
-from repro.wfms.distributed import WorkflowNode, _advance_to_timers
+from repro.wfms.distributed import (
+    WorkflowNode,
+    _advance_to_timers,
+    pump_round,
+)
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT, ProcessDefinition
 
 from tests.chaos_harness import (
@@ -257,19 +261,10 @@ class BrokerTopology:
         self.server.close()
 
     def drive(self, iids, chaos_rounds, chaos, max_rounds=400):
-        """run_cluster's loop with chaos injection between rounds."""
+        """run_cluster's rounds with chaos injection between them."""
         pending = sorted(set(chaos_rounds), reverse=True)
         for round_no in range(1, max_rounds + 1):
-            progressed = False
-            for node in self.nodes:
-                if node.engine.crashed:
-                    continue
-                for __ in range(25):
-                    if not node.engine.step():
-                        break
-                    progressed = True
-                if node.pump():
-                    progressed = True
+            progressed = pump_round(self.nodes, steps_per_round=25)
             if pending and pending[-1] == round_no:
                 pending.pop()
                 chaos()
@@ -279,9 +274,7 @@ class BrokerTopology:
                 for iid in iids
             ):
                 return round_no
-            if not progressed and not _advance_to_timers(
-                [n for n in self.nodes if not n.engine.crashed]
-            ):
+            if not progressed and not _advance_to_timers(self.nodes):
                 raise AssertionError("cluster deadlocked")
         raise AssertionError("cluster did not converge")
 

@@ -1,6 +1,8 @@
 """Tests for distributed workflow execution over persistent messages
 (the Exotica/FMQM dimension: heterogeneous, distributed, crash-safe)."""
 
+import random
+
 import pytest
 
 from repro.errors import WorkflowError
@@ -14,6 +16,59 @@ from repro.workloads.distributed_demo import (
     make_requester,
     make_worker,
 )
+
+
+def recording_pump(node, index, visits, rounds, crash_at=None):
+    """Wrap ``node.pump``: log each visit, crash the node on call
+    ``crash_at``, and report progress for the first ``rounds`` calls so
+    the cluster runs exactly ``rounds + 1`` rounds."""
+    pump = node.pump
+
+    def recorded():
+        visits.append(index)
+        pump()
+        calls = visits.count(index)
+        if calls == crash_at:
+            node.crash()
+        return calls <= rounds
+
+    return recorded
+
+
+class TestRoundContract:
+    """``run_cluster``'s rounds: one ``shuffle(list(range(n)))`` draw
+    per round with ``rng``, list order without; crashed nodes are
+    skipped after the draw, so they still consume their place in it."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 7])
+    def test_visit_order(self, seed):
+        n, rounds, victim = 4, 5, 2
+        bus = MessageBus()
+        nodes = [WorkflowNode("n%d" % index, bus) for index in range(n)]
+        visits: list[int] = []
+        for index, node in enumerate(nodes):
+            node.pump = recording_pump(
+                node,
+                index,
+                visits,
+                rounds,
+                crash_at=2 if index == victim else None,
+            )
+        rng = None if seed is None else random.Random(seed)
+        assert run_cluster(nodes, rng=rng, steps_per_round=1) == rounds + 1
+
+        reference = None if seed is None else random.Random(seed)
+        expected: list[int] = []
+        for round_number in range(1, rounds + 2):
+            order = list(range(n))
+            if reference is not None:
+                reference.shuffle(order)
+            expected.extend(
+                index
+                for index in order
+                if index != victim or round_number <= 2
+            )
+        assert visits == expected
 
 
 class TestMessageBus:

@@ -4,6 +4,7 @@ scheduling, per-shard recovery and merged monitoring."""
 import pytest
 
 from repro.errors import NavigationError, WorkflowError
+from repro.obs import RequestTimedOut
 from repro.store import DurableStore
 from repro.wfms import (
     ANY_SHARD,
@@ -152,6 +153,41 @@ class TestShardedExecution:
             assert set(row["queues"]) == {"inbox", "replies", "dlq"}
             assert set(row["scheduler"]) == {"ready", "delayed"}
             assert row["store"] == {"enabled": False}
+
+
+class TestRouting:
+    def test_timeout_events_name_the_resolved_shard(self):
+        """``RequestTimedOut.remote`` is the node the request was
+        addressed to: the shard :data:`ANY_SHARD` resolved to, never
+        the sentinel itself."""
+        sharded = ShardedEngine(
+            3,
+            seed=1,
+            observability=True,
+            request_timeout=2.0,
+            request_retries=1,
+        )
+        configure_sharded_math(sharded)
+        ids = [sharded.start_process("Front", {"N": n}) for n in range(6)]
+        owner = sharded.shard_index_for_root(ids[0])
+        events = []
+        sharded.shards[owner].obs.hooks.subscribe(
+            RequestTimedOut, events.append
+        )
+        for index in range(3):
+            if index != owner:
+                sharded.crash_shard(index)
+        sharded.run(max_rounds=200)
+        requester = "shard-%d" % owner
+        request_id = "%s/%s/CallDouble" % (requester, ids[0])
+        target = sharded.shard_name_for_key(request_id)
+        assert target not in (requester, ANY_SHARD)
+        assert [
+            (e.node, e.remote, e.request_id, e.action) for e in events
+        ] == [
+            (requester, target, request_id, "resent"),
+            (requester, target, request_id, "escalated"),
+        ]
 
 
 class TestDeterminism:

@@ -8,6 +8,7 @@ request and acknowledging it neither loses nor duplicates work.
 
 import pytest
 
+from repro.store import DurableStore
 from repro.wfms.distributed import run_cluster
 from repro.wfms.messaging import MessageBus
 
@@ -56,7 +57,9 @@ def test_crash_safety_summary(benchmark, tmp_path):
     # requester crash
     bus = MessageBus()
     worker = make_worker(bus)
-    front = make_requester(bus, journal_path=str(tmp_path / "f.journal"))
+    front = make_requester(
+        bus, store_factory=lambda: DurableStore(tmp_path / "f")
+    )
     iid = front.engine.start_process("Front", {"N": 7})
     front.engine.step()
     front.crash()
@@ -67,7 +70,9 @@ def test_crash_safety_summary(benchmark, tmp_path):
     )
     # worker crash with unacked request
     bus2 = MessageBus()
-    worker2 = make_worker(bus2, journal_path=str(tmp_path / "w.journal"))
+    worker2 = make_worker(
+        bus2, store_factory=lambda: DurableStore(tmp_path / "w")
+    )
     front2 = make_requester(bus2)
     iid2 = front2.engine.start_process("Front", {"N": 4})
     front2.engine.step()

@@ -4,14 +4,15 @@
 point); ``batch`` group-commits, amortising the fsync over
 ``batch_size`` records; ``never`` leaves durability to the OS.  The
 spread between the first two is the price of the strict guarantee —
-and what an engine relaxing it with ``journal_sync="batch"`` buys.
+and what an engine relaxing it with ``DurableStore(d, sync="batch")``
+buys.
 """
 
 import time
 
 import pytest
 
-from repro.wfms.journal import Journal
+from repro.store import SegmentedJournal
 
 from _helpers import print_table
 
@@ -34,16 +35,16 @@ def sample_record(n: int) -> dict:
 RECORDS = [sample_record(n) for n in range(APPENDS)]
 
 
-def append_all(journal: Journal) -> None:
+def append_all(journal: SegmentedJournal) -> None:
     append = journal.append
     for record in RECORDS:
         append(record)
     journal.flush()
 
 
-def journal_for(tmp_path, sync: str, index: int) -> Journal:
-    return Journal(
-        tmp_path / ("j_%s_%d.log" % (sync, index)),
+def journal_for(tmp_path, sync: str, index: int) -> SegmentedJournal:
+    return SegmentedJournal(
+        tmp_path / ("j_%s_%d" % (sync, index)),
         sync=sync,
         batch_size=BATCH_SIZE,
         batch_interval=3600.0,

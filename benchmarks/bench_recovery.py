@@ -4,22 +4,26 @@ Crashes an engine after k of N activities, recovers into a fresh
 engine, and measures the replay cost.  Expected shape: replay time and
 journal size grow linearly with completed work; completed activities
 are never re-executed; the pending activity is rescheduled from the
-beginning (the paper's rule for non-failure-atomic activities).
+beginning (the paper's rule for non-failure-atomic activities).  The
+engine persists through a ``DurableStore`` with no checkpoint policy,
+so recovery replays the whole journal.
 """
 
 import os
+import shutil
 
 import pytest
 
 from repro import Activity, Engine, ProcessDefinition
+from repro.store import DurableStore
 
 from _helpers import print_table
 
 N = 20
 
 
-def build_engine(journal_path, counters):
-    engine = Engine(journal_path=journal_path)
+def build_engine(store_dir, counters):
+    engine = Engine(store=DurableStore(store_dir))
 
     def make(name):
         def program(ctx):
@@ -44,8 +48,8 @@ def build_engine(journal_path, counters):
 @pytest.mark.parametrize("completed", [1, 5, 10, 19])
 def test_recovery_cost_vs_completed_work(benchmark, tmp_path, completed):
     counters: dict[str, int] = {}
-    journal_path = str(tmp_path / "journal.jsonl")
-    engine = build_engine(journal_path, counters)
+    store_dir = str(tmp_path / "store")
+    engine = build_engine(store_dir, counters)
     iid = engine.start_process("Chain")
     for __ in range(completed):
         engine.step()
@@ -53,7 +57,7 @@ def test_recovery_cost_vs_completed_work(benchmark, tmp_path, completed):
     pre_crash = dict(counters)
 
     def recover_once():
-        fresh = build_engine(journal_path, dict(pre_crash))
+        fresh = build_engine(store_dir, dict(pre_crash))
         replayed = fresh.recover()
         fresh.close()
         return replayed
@@ -62,7 +66,7 @@ def test_recovery_cost_vs_completed_work(benchmark, tmp_path, completed):
     assert replayed == completed
 
     # Behavioural check, once: resume and finish without re-execution.
-    final = build_engine(journal_path, counters)
+    final = build_engine(store_dir, counters)
     final.recover()
     final.run()
     assert final.instance_state(iid) == "finished"
@@ -73,13 +77,16 @@ def test_journal_grows_linearly(tmp_path, benchmark):
     rows = []
     for completed in (1, 5, 10, 19):
         counters: dict[str, int] = {}
-        journal_path = str(tmp_path / ("j%d.jsonl" % completed))
-        engine = build_engine(journal_path, counters)
+        store_dir = str(tmp_path / ("s%d" % completed))
+        engine = build_engine(store_dir, counters)
         engine.start_process("Chain")
         for __ in range(completed):
             engine.step()
         engine.close()
-        size = os.path.getsize(journal_path)
+        # one segment: the journal never rotates without checkpoints
+        size = os.path.getsize(
+            os.path.join(store_dir, "journal", "segment-00000000.jsonl")
+        )
         records = 1 + completed  # process start + completions
         rows.append((completed, records, size))
     print_table(
@@ -93,14 +100,14 @@ def test_journal_grows_linearly(tmp_path, benchmark):
     assert sizes[-1] < sizes[0] * 25
 
     counters: dict[str, int] = {}
-    journal_path = str(tmp_path / "bench.jsonl")
+    store_dir = str(tmp_path / "bench")
 
     def run_full_with_journal():
-        engine = build_engine(journal_path, counters)
+        engine = build_engine(store_dir, counters)
         iid = engine.start_process("Chain")
         engine.run()
         engine.close()
-        os.unlink(journal_path)
+        shutil.rmtree(store_dir)
         return iid
 
     benchmark(run_full_with_journal)
@@ -109,14 +116,14 @@ def test_journal_grows_linearly(tmp_path, benchmark):
 def test_journal_overhead(benchmark, tmp_path):
     """Cost of running *with* a journal (fsync per decision)."""
     counters: dict[str, int] = {}
-    journal_path = str(tmp_path / "overhead.jsonl")
+    store_dir = str(tmp_path / "overhead")
 
     def run_once():
-        engine = build_engine(journal_path, counters)
+        engine = build_engine(store_dir, counters)
         engine.start_process("Chain")
         engine.run()
         engine.close()
-        os.unlink(journal_path)
+        shutil.rmtree(store_dir)
 
     benchmark(run_once)
 
@@ -124,16 +131,16 @@ def test_journal_overhead(benchmark, tmp_path):
 def test_crash_mid_activity_reschedules_from_beginning(benchmark, tmp_path):
     """§3.3: "the activity will be rescheduled to be executed from the
     beginning" when the WFMS was not notified of completion."""
-    journal_path = str(tmp_path / "midcrash.jsonl")
+    store_dir = str(tmp_path / "midcrash")
     counters: dict[str, int] = {}
-    engine = build_engine(journal_path, counters)
+    engine = build_engine(store_dir, counters)
     iid = engine.start_process("Chain")
     engine.step()  # a00 completes and is journaled
     # Simulate the crash *between* program completion and journaling by
     # crashing now: a01 never ran, a00 is durable.
     engine.crash()
 
-    fresh = build_engine(journal_path, counters)
+    fresh = build_engine(store_dir, counters)
     fresh.recover()
     fresh.run()
     assert fresh.instance_state(iid) == "finished"
@@ -141,7 +148,7 @@ def test_crash_mid_activity_reschedules_from_beginning(benchmark, tmp_path):
     assert counters["a01"] == 1   # executed exactly once, post-recovery
 
     def recover_only():
-        engine2 = build_engine(journal_path, dict(counters))
+        engine2 = build_engine(store_dir, dict(counters))
         engine2.recover()
         engine2.close()
 

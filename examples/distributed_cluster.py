@@ -16,6 +16,7 @@ Run with::
 import os
 import tempfile
 
+from repro.store import DurableStore
 from repro.wfms.distributed import run_cluster
 from repro.wfms.messaging import MessageBus
 from repro.workloads.distributed_demo import (
@@ -27,8 +28,10 @@ from repro.workloads.distributed_demo import (
 
 def main() -> None:
     bus = MessageBus()
-    journal = os.path.join(tempfile.mkdtemp(), "worker.journal")
-    worker = make_worker(bus, journal_path=journal)
+    store_dir = os.path.join(tempfile.mkdtemp(), "worker")
+    worker = make_worker(
+        bus, store_factory=lambda: DurableStore(store_dir)
+    )
     front = make_requester(bus)
 
     instance = front.engine.start_process("Front", {"N": 21})
@@ -40,7 +43,7 @@ def main() -> None:
 
     print("\n*** the worker machine fails ***")
     worker.crash()
-    print("worker volatile state lost; the bus and journal survive")
+    print("worker volatile state lost; the bus and store survive")
 
     worker.rebuild(configure_worker)
     print("worker rebuilt from its journal; resuming the cluster\n")

@@ -6,7 +6,7 @@ are journaled and run exactly once, ``@transaction`` steps write
 through a savepointed transaction scope, and the ``@workflow`` body
 re-runs from the top on every attempt with completed steps answered
 from the journal. This tour runs a checkout flow, crashes the engine
-mid-flow, resumes on a fresh engine over the same journal, and shows
+mid-flow, resumes on a fresh engine over the same store, and shows
 that no step body re-executed.
 
 Run with::
@@ -19,6 +19,7 @@ import tempfile
 
 from repro.core.scoped import install_scope_service
 from repro.flow import StepFailure, install_flows, step, transaction, workflow
+from repro.store import DurableStore
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms import Engine
 
@@ -62,19 +63,19 @@ def checkout(flow, sku):
     return {"sku": sku, "total": total + surcharge, "balance": balance}
 
 
-def build_engine(journal_path, db):
-    engine = Engine(journal_path=journal_path)
+def build_engine(store_dir, db):
+    engine = Engine(store=DurableStore(store_dir))
     install_scope_service(engine, ScopeManager(db))
     runtime = install_flows(engine, [checkout], seed=7)
     return engine, runtime
 
 
 def main() -> None:
-    journal_path = os.path.join(tempfile.mkdtemp(), "flows.journal")
+    store_dir = os.path.join(tempfile.mkdtemp(), "flows")
     db = SimDatabase()
-    print("journal:", journal_path)
+    print("store:", store_dir)
 
-    engine, runtime = build_engine(journal_path, db)
+    engine, runtime = build_engine(store_dir, db)
     uuid = runtime.start("checkout", "sku-1")
     print("started flow", uuid)
     for _ in range(3):
@@ -84,7 +85,7 @@ def main() -> None:
     print("\n*** machine failure mid-flow ***\n")
     engine.crash()
 
-    engine, runtime = build_engine(journal_path, db)
+    engine, runtime = build_engine(store_dir, db)
     engine.recover()
     engine.run()
 

@@ -6,8 +6,10 @@ that forward recovery is always guaranteed ... the process execution
 is resumed from the point where the failure occurred."
 
 This example runs a five-step process, crashes the engine after two
-steps, builds a fresh engine over the same journal and resumes: steps
-already completed are *not* re-executed; pending work continues.
+steps, builds a fresh engine over the same durable store and resumes:
+steps already completed are *not* re-executed; pending work continues.
+The store has no checkpoint policy, so recovery replays its whole
+journal.
 
 Run with::
 
@@ -18,13 +20,14 @@ import os
 import tempfile
 
 from repro import Activity, Engine, ProcessDefinition
+from repro.store import DurableStore
 
 STEPS = ["Extract", "Validate", "Transform", "Load", "Report"]
 invocations: dict[str, int] = {}
 
 
-def build_engine(journal_path: str) -> Engine:
-    engine = Engine(journal_path=journal_path)
+def build_engine(store_dir: str) -> Engine:
+    engine = Engine(store=DurableStore(store_dir))
 
     def make(step: str):
         def program(ctx) -> int:
@@ -45,10 +48,10 @@ def build_engine(journal_path: str) -> Engine:
 
 
 def main() -> None:
-    journal_path = os.path.join(tempfile.mkdtemp(), "pipeline.journal")
-    print("journal:", journal_path)
+    store_dir = os.path.join(tempfile.mkdtemp(), "pipeline")
+    print("store:", store_dir)
 
-    engine = build_engine(journal_path)
+    engine = build_engine(store_dir)
     instance = engine.start_process("Pipeline")
     engine.step()
     engine.step()
@@ -58,7 +61,7 @@ def main() -> None:
     print("\n*** machine failure ***\n")
     engine.crash()
 
-    recovered = build_engine(journal_path)
+    recovered = build_engine(store_dir)
     replayed = recovered.recover()
     print("replayed %d completed activities from the journal" % replayed)
     print("after recovery:", recovered.activity_states(instance))

@@ -219,7 +219,7 @@ class BusLog:
         self._checkpoint_every = checkpoint_every
         self._log = CheckpointedLog(
             self._directory,
-            journal_dirname=LOG_DIRNAME,
+            segments_dirname=LOG_DIRNAME,
             checkpoint_prefix="buscheck-",
             offset_digits=8,
             keep_checkpoints=keep_checkpoints,

@@ -42,14 +42,14 @@ class CheckpointedLog:
     Checkpoint files are named ``<checkpoint_prefix><offset>.json``
     with the offset zero-padded to ``offset_digits``;
     ``journal_options`` go to the :class:`SegmentedJournal` in
-    ``directory/journal_dirname``.
+    ``directory/segments_dirname``.
     """
 
     def __init__(
         self,
         directory: str,
         *,
-        journal_dirname: str,
+        segments_dirname: str,
         checkpoint_prefix: str,
         offset_digits: int,
         keep_checkpoints: int,
@@ -65,7 +65,7 @@ class CheckpointedLog:
         self._injector = injector
         os.makedirs(directory, exist_ok=True)
         self.journal = SegmentedJournal(
-            os.path.join(directory, journal_dirname),
+            os.path.join(directory, segments_dirname),
             injector=injector,
             **journal_options,
         )

@@ -137,7 +137,7 @@ class DurableStore:
         )
         self._log = CheckpointedLog(
             self._directory,
-            journal_dirname="journal",
+            segments_dirname="journal",
             checkpoint_prefix="checkpoint-",
             offset_digits=12,
             keep_checkpoints=self._keep_checkpoints,

@@ -1,7 +1,7 @@
-"""Segmented journal: numbered segment files under one manifest.
+"""The execution journal: numbered segment files under one manifest.
 
-A :class:`SegmentedJournal` is a drop-in :class:`~repro.wfms.journal.
-Journal` whose backing storage is a *directory*:
+A :class:`SegmentedJournal` is an append-only record store whose
+backing storage is a *directory*:
 
 * ``segment-%08d.jsonl`` — one JSON record per line.  The highest-id
   segment is **active** (appended to, torn tail tolerated on load);
@@ -23,45 +23,77 @@ the directory's lifetime).  Dense segments store indices implicitly
 becomes *sparse* and stores ``{"i": index, "r": record}`` rows, since
 compaction punches holes in the sequence.
 
+*When* an appended record becomes durable is governed by the ``sync``
+policy:
+
+* ``"always"`` (default) — flush + fsync after every append.  This
+  is the durability point the §3.3 forward-recovery guarantee needs:
+  a crash never loses an appended record.
+* ``"batch"`` — **group commit**: appends are buffered in memory and
+  committed (written, flushed, fsynced) together once ``batch_size``
+  records accumulate or ``batch_interval`` seconds pass since the
+  first buffered record.  A crash loses at most the unflushed suffix;
+  :meth:`flush` is the explicit durability barrier.
+* ``"never"`` — records are handed to the OS on every append but never
+  explicitly fsynced outside :meth:`flush`/:meth:`close`.
+
+:meth:`records` always reflects every append regardless of policy —
+it is volatile by definition.  A record is only added to memory
+*after* its write (or buffering) succeeded, so a failing disk write
+cannot leave memory claiming a record that was never durable, and a
+closed journal refuses appends with :class:`~repro.errors.JournalError`.
+
+A journal of a different domain is the same class with different
+constructor data: ``record_types`` (the legal ``type`` values) and
+``fault_scope`` (the injector site family — the engine journal
+consults ``journal.append``/``journal.fsync``, the broker's bus log
+``buslog.append``/``buslog.fsync``).
+
 :meth:`compact` takes the latest durable checkpoint's covered offset:
 sealed segments whose records all precede the offset are dropped
 outright, and the single sealed segment straddling the offset is
 rewritten keeping only records past the offset that belong to
 unfinished (non-archived) instances.  The active segment is never
 touched.
-
-Sync policies (``always | batch | never``), the write-then-record
-memory discipline, the record-type allowlist and the
-``<fault_scope>.append`` / ``<fault_scope>.fsync`` fault-injection
-sites are the base class's, ``append`` included — this class only
-supplies the index bookkeeping ``append`` maintains — so the chaos
-suites apply as-is.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from bisect import bisect_left
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
-from repro.errors import RecoveryError
+from repro.errors import JournalError, RecoveryError
+from repro.obs import JournalSynced, resolve_observability
 from repro.store.atomic import atomic_write
-from repro.wfms.journal import (
-    RECORD_TYPES,
-    Journal,
-    _read_file,
-    read_json_lines,
-    trim_torn_tail,
-)
+from repro.wfms.journal import RECORD_TYPES, read_json_lines, trim_torn_tail
 
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_TEMPLATE = "segment-%08d.jsonl"
 COMPACTED_TEMPLATE = "segment-%08d.c%d.jsonl"
 
+#: Legal values for the ``sync`` policy.
+SYNC_POLICIES = ("always", "batch", "never")
 
-class SegmentedJournal(Journal):
+
+def _read_file(
+    path: str, *, tolerate_torn_tail: bool
+) -> Iterator[dict[str, Any]]:
+    """The journal records of one dense segment file."""
+    for lineno, record in read_json_lines(
+        path, tolerate_torn_tail=tolerate_torn_tail
+    ):
+        if not isinstance(record, dict) or "type" not in record:
+            raise RecoveryError(
+                "%s:%d: malformed journal record" % (path, lineno)
+            )
+        yield record
+
+
+class SegmentedJournal:
     """Journal over a directory of segments with a manifest.
 
     ``segment_max_records`` enables automatic :meth:`rotate` once the
@@ -82,33 +114,219 @@ class SegmentedJournal(Journal):
         record_types: Iterable[str] = RECORD_TYPES,
         fault_scope: str = "journal",
     ):
-        # Base init with path=None: sync policy, buffers, obs
-        # instruments and the injector — no file handling.
-        super().__init__(
-            None,
-            sync=sync,
-            batch_size=batch_size,
-            batch_interval=batch_interval,
-            obs=obs,
-            injector=injector,
-            record_types=record_types,
-            fault_scope=fault_scope,
-        )
+        if sync not in SYNC_POLICIES:
+            raise ValueError(
+                "unknown journal sync policy %r (choose from %s)"
+                % (sync, ", ".join(SYNC_POLICIES))
+            )
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if segment_max_records is not None and segment_max_records < 1:
             raise ValueError("segment_max_records must be >= 1")
+        self._sync = sync
+        self._batch_size = batch_size
+        self._batch_interval = batch_interval
+        self._injector = injector
+        self.record_types = frozenset(record_types)
+        self.fault_scope = fault_scope
         self._directory = os.fspath(directory)
         self._segment_max_records = segment_max_records
+        #: records in append order, and each one's global index
+        #: (parallel lists; indices strictly increase, with holes
+        #: after compaction).
+        self._memory: list[dict[str, Any]] = []
+        self._indices: list[int] = []
+        self._next_index = 0
+        #: global index at which :meth:`append` rotates, or None.
+        self._rotate_at: int | None = None
+        #: serialized-but-uncommitted lines (batch policy only)
+        self._buffer: list[str] = []
+        self._buffer_since: float | None = None
+        self._file = None
+        obs = resolve_observability(obs)
+        self._obs_on = obs.enabled
+        self._hooks = obs.hooks
+        self._tracer = obs.tracer
+        self._c_appends = obs.metrics.counter(
+            "wfms_journal_appends_total", "Journal records appended"
+        )
+        self._c_commits = obs.metrics.counter(
+            "wfms_journal_commits_total",
+            "Durability points (write + fsync) by trigger",
+            labels=("reason",),
+        )
+        self._h_commit_seconds = obs.metrics.histogram(
+            "wfms_journal_commit_seconds", "Seconds per durability point"
+        )
+        self._g_unflushed = obs.metrics.gauge(
+            "wfms_journal_unflushed", "Appended records not yet durable"
+        )
         os.makedirs(self._directory, exist_ok=True)
         #: manifest entries, oldest first; the last one is active.
         self._segments: list[dict[str, Any]] = []
         self._compactions = 0
-        #: global record index per row of ``self._memory`` (parallel
-        #: lists; strictly increasing, with holes after compaction).
-        #: ``Journal.append`` extends it and rotates at ``_rotate_at``.
-        self._indices = []
         self._load()
-        self._path = self._directory
         self._open_active()
+
+    @property
+    def sync(self) -> str:
+        return self._sync
+
+    # ------------------------------------------------------------------
+    # append / durability points
+    # ------------------------------------------------------------------
+
+    def append(self, record: dict[str, Any]) -> None:
+        if record.get("type") not in self.record_types:
+            raise RecoveryError(
+                "illegal journal record type %r" % record.get("type")
+            )
+        if self._file is None:
+            raise JournalError(
+                "journal %s is closed; the record was not appended"
+                % self._directory
+            )
+        if self._injector is not None:
+            # A failing disk surfaces before anything is written, so
+            # neither file nor memory claims the record
+            # (write-then-record stays honest under injection).
+            self._injector.on_journal(
+                "append", str(record.get("type")), self.fault_scope
+            )
+        line = json.dumps(record, sort_keys=True)
+        if self._sync == "always":
+            self._file.write(line)
+            self._file.write("\n")
+            if self._obs_on:
+                started = time.perf_counter()
+                self._file.flush()
+                self._fsync("append")
+                self._observe_commit(
+                    1, "append", time.perf_counter() - started
+                )
+            else:
+                self._file.flush()
+                self._fsync("append")
+        elif self._sync == "never":
+            self._file.write(line)
+            self._file.write("\n")
+        else:  # batch: group commit
+            self._buffer.append(line)
+            now = time.monotonic()
+            if self._buffer_since is None:
+                self._buffer_since = now
+            if len(self._buffer) >= self._batch_size:
+                self._commit("batch_full")
+            elif now - self._buffer_since >= self._batch_interval:
+                self._commit("batch_interval")
+            elif self._obs_on:
+                self._g_unflushed.set(len(self._buffer))
+        # Write-then-record: memory only claims records whose file
+        # write (or buffering) succeeded.
+        self._memory.append(record)
+        self._indices.append(self._next_index)
+        self._next_index += 1
+        if self._obs_on:
+            self._c_appends.inc()
+        if self._rotate_at is not None and self._next_index >= self._rotate_at:
+            self.rotate()
+
+    def _fsync(self, reason: str) -> None:
+        """One durability point; the injector may turn it into a
+        :class:`~repro.errors.JournalError` (disk failure)."""
+        if self._injector is not None:
+            self._injector.on_journal("fsync", reason, self.fault_scope)
+        os.fsync(self._file.fileno())
+
+    def _commit(self, reason: str = "flush") -> None:
+        """Write the buffered suffix and make the active file durable."""
+        committed = len(self._buffer)
+        if not self._obs_on:
+            if self._buffer:
+                self._file.write("\n".join(self._buffer))
+                self._file.write("\n")
+                self._buffer.clear()
+                self._buffer_since = None
+            self._file.flush()
+            self._fsync(reason)
+            return
+        span = None
+        if committed and self._tracer.enabled:
+            span = self._tracer.start_span(
+                "journal.commit",
+                kind="journal",
+                attributes={"records": committed, "reason": reason},
+            )
+        started = time.perf_counter()
+        if self._buffer:
+            self._file.write("\n".join(self._buffer))
+            self._file.write("\n")
+            self._buffer.clear()
+            self._buffer_since = None
+        self._file.flush()
+        self._fsync(reason)
+        elapsed = time.perf_counter() - started
+        if span is not None:
+            span.finish()
+        self._observe_commit(committed, reason, elapsed)
+
+    def _observe_commit(
+        self, records: int, reason: str, seconds: float
+    ) -> None:
+        self._c_commits.labels(reason).inc()
+        self._h_commit_seconds.observe(seconds)
+        self._g_unflushed.set(len(self._buffer))
+        hooks = self._hooks
+        if hooks.wants(JournalSynced):
+            hooks.publish(JournalSynced(records, reason, seconds))
+
+    def flush(self) -> None:
+        """Durability barrier: every appended record is on disk after
+        this returns, whatever the sync policy."""
+        if self._file is not None:
+            self._commit("flush")
+
+    def unflushed(self) -> int:
+        """Number of appended records not yet committed to disk."""
+        return len(self._buffer)
+
+    def records(self) -> list[dict[str, Any]]:
+        return list(self._memory)
+
+    def __len__(self) -> int:
+        return len(self._memory)
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._commit()
+            self._file.close()
+            self._file = None
+
+    def abandon(self) -> None:
+        """Release the active file *without* a final commit — used
+        when the disk itself is failing and a flush would only raise
+        again.  The durable prefix on disk stays replayable; buffered
+        records are lost (exactly the crash semantics of ``batch``)."""
+        if self._file is not None:
+            try:
+                self._file.close()
+            except OSError:
+                pass
+            self._file = None
+        self._buffer.clear()
+        self._buffer_since = None
+
+    def reopen(self) -> None:
+        """Reopen the active segment after :meth:`close` (crash
+        restart)."""
+        if self._file is None:
+            self._open_active()
+
+    def __enter__(self) -> "SegmentedJournal":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -284,10 +502,6 @@ class SegmentedJournal(Journal):
         )
         self._write_manifest()
         self._open_active()
-
-    def reopen(self) -> None:
-        if self._file is None:
-            self._open_active()
 
     # ------------------------------------------------------------------
     # reads

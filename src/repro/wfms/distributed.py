@@ -112,9 +112,8 @@ class WorkflowNode:
       :meth:`pump` (forced node crashes);
     * ``store_factory`` — zero-argument callable building a fresh
       :class:`~repro.store.DurableStore` over this node's store
-      directory (checkpointed recovery + finished-instance archive);
-      mutually exclusive with ``journal_path``; :meth:`rebuild` builds
-      a new store over the same files.
+      directory, or ``None`` for a volatile node; :meth:`rebuild`
+      builds a new store over the same files and recovers from it.
     """
 
     def __init__(
@@ -122,7 +121,6 @@ class WorkflowNode:
         name: str,
         bus: MessageBus,
         *,
-        journal_path: str | None = None,
         organization: Organization | None = None,
         observability: Observability | bool | None = None,
         max_deliveries: int = 5,
@@ -140,13 +138,8 @@ class WorkflowNode:
             raise WorkflowError("max_deliveries must be >= 1")
         if poll_interval < 0:
             raise WorkflowError("poll_interval must be >= 0")
-        if store_factory is not None and journal_path is not None:
-            raise WorkflowError(
-                "store_factory and journal_path are mutually exclusive"
-            )
         self.name = name
         self.bus = bus
-        self._journal_path = journal_path
         #: zero-argument callable building a fresh DurableStore over the
         #: node's store directory; each engine (initial and every
         #: rebuild) gets its own store object over the same files.
@@ -162,13 +155,7 @@ class WorkflowNode:
         # Resolved once and reused by rebuild(), so counters and spans
         # accumulate across this node's crash/recover cycles.
         self.obs = resolve_observability(observability)
-        self.engine = Engine(
-            journal_path=journal_path,
-            organization=organization,
-            observability=self.obs,
-            fault_injector=fault_injector,
-            store=store_factory() if store_factory is not None else None,
-        )
+        self.engine = self._build_engine()
         self._served: set[str] = set()
         #: request_id -> full reply body (volatile reply cache).
         self._replies: dict[str, dict[str, Any]] = {}
@@ -521,9 +508,21 @@ class WorkflowNode:
 
     # -- crash / recovery --------------------------------------------------------
 
+    def _build_engine(self) -> Engine:
+        return Engine(
+            organization=self._organization,
+            observability=self.obs,
+            fault_injector=self._injector,
+            store=(
+                self._store_factory()
+                if self._store_factory is not None
+                else None
+            ),
+        )
+
     def crash(self) -> None:
         """Lose the engine and every volatile structure; keep the bus
-        and the journal."""
+        and the store."""
         if not self.engine.crashed:
             self.engine.crash()
         self._replies.clear()
@@ -535,26 +534,14 @@ class WorkflowNode:
         self.bus.recover_in_flight(_reply_queue(self.name))
 
     def rebuild(self, configure) -> None:
-        """Build a fresh engine over the same journal and recover.
+        """Build a fresh engine over the same store and recover.
 
         ``configure(node)`` must re-register definitions, programs and
         remote activities (their programs), then the journal replays.
         """
-        if self._journal_path is None and self._store_factory is None:
-            raise WorkflowError(
-                "rebuild requires a journal- or store-backed node"
-            )
-        self.engine = Engine(
-            journal_path=self._journal_path,
-            organization=self._organization,
-            observability=self.obs,
-            fault_injector=self._injector,
-            store=(
-                self._store_factory()
-                if self._store_factory is not None
-                else None
-            ),
-        )
+        if self._store_factory is None:
+            raise WorkflowError("rebuild requires a store-backed node")
+        self.engine = self._build_engine()
         served = self._served
         self._served = set()
         configure(self)

@@ -16,10 +16,8 @@ code (and the FMTM translator pipeline) talks to::
 
 from __future__ import annotations
 
-import os
-from typing import Any
-
 import copy
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
     DefinitionError,
@@ -30,7 +28,6 @@ from repro.errors import (
 )
 from repro.obs import EngineCrashed, EngineRecovered, resolve_observability
 from repro.wfms.audit import AuditTrail
-from repro.wfms.journal import Journal
 from repro.wfms.model import ActivityKind, ProcessDefinition
 from repro.wfms.navigator import Navigator
 from repro.wfms.organization import Organization
@@ -39,27 +36,30 @@ from repro.wfms.recovery import replay
 from repro.wfms.registry import DefinitionRegistry
 from repro.wfms.worklist import Notification, WorkItem, WorklistManager
 
+if TYPE_CHECKING:
+    from repro.store.segments import SegmentedJournal
+
 
 class Engine:
     """One workflow management system instance."""
 
     def __init__(
         self,
-        journal_path: str | os.PathLike[str] | None = None,
-        organization: Organization | None = None,
         *,
-        journal_sync: str = "always",
-        journal_batch_size: int = 64,
-        journal_batch_interval: float = 0.05,
+        organization: Organization | None = None,
         observability=None,
         fault_injector=None,
         store=None,
     ):
-        """``journal_sync`` selects the journal durability policy —
-        ``"always"`` (fsync per record, the default §3.3 guarantee),
-        ``"batch"`` (group commit every ``journal_batch_size`` records
-        or ``journal_batch_interval`` seconds, losing at most the
-        unflushed suffix on a crash) or ``"never"`` (OS-buffered).
+        """``store`` makes the engine persistent: a fresh
+        :class:`~repro.store.durable.DurableStore` whose segmented
+        journal records every non-deterministic decision (its ``sync``
+        policy sets when a record becomes durable), whose checkpoint
+        policy (none by default: recovery replays the whole journal)
+        bounds replay, and whose archive takes finished root instances
+        out of live memory.  ``recover()`` restores the latest
+        snapshot, if any, and replays the journal suffix past it.
+        Without a store the engine is volatile and cannot recover.
 
         ``observability`` enables metrics/tracing/hooks
         (:mod:`repro.obs`): ``True`` for a fresh fully enabled bundle,
@@ -70,16 +70,7 @@ class Engine:
         ``fault_injector`` installs a
         :class:`~repro.resilience.faults.FaultInjector` on the
         navigator (program-invocation faults) and journal (disk
-        faults); default None costs nothing on the hot path.
-
-        ``store`` installs a fresh
-        :class:`~repro.store.durable.DurableStore` (checkpoints,
-        segmented journal, finished-instance archive): the store's
-        segmented journal *becomes* the engine journal, so ``store``
-        and ``journal_path`` are mutually exclusive.  ``recover()``
-        then restores the latest snapshot and replays only the journal
-        suffix past it.  A plain ``journal_path`` journal is the same
-        recovery with no snapshot and nothing archived."""
+        faults); default None costs nothing on the hot path."""
         self.obs = resolve_observability(observability)
         self.programs = ProgramRegistry()
         self.organization = (
@@ -91,28 +82,7 @@ class Engine:
         self._definitions = DefinitionRegistry()
         self._store = store
         if store is not None:
-            if journal_path is not None:
-                raise WorkflowError(
-                    "Engine(store=...) and journal_path are mutually "
-                    "exclusive: the store's segmented journal is the "
-                    "engine journal"
-                )
             store.attach(obs=self.obs, injector=fault_injector)
-            self._journal = store.journal
-        elif journal_path is not None:
-            self._journal = Journal(
-                journal_path,
-                sync=journal_sync,
-                batch_size=journal_batch_size,
-                batch_interval=journal_batch_interval,
-                obs=self.obs,
-                injector=fault_injector,
-            )
-        else:
-            self._journal = None
-        #: what crash/close/recover flush, close, abandon and reopen:
-        #: the store (journal + archive), a bare journal, or nothing.
-        self._durable = store if store is not None else self._journal
         self._crashed = False
         self.navigator = Navigator(
             self._definitions,
@@ -120,7 +90,6 @@ class Engine:
             self.organization,
             self.worklists,
             self.audit,
-            self._journal,
             self.services,
             obs=self.obs,
             injector=fault_injector,
@@ -311,7 +280,18 @@ class Engine:
             return record["state"]
 
     def activity_states(self, instance_id: str) -> dict[str, str]:
-        return self.navigator.instance(instance_id).states()
+        """activity -> state (``"dead"`` for dead-path eliminated).  An
+        archived instance finished, so each of its activities either
+        terminated or died."""
+        try:
+            return self.navigator.instance(instance_id).states()
+        except NavigationError:
+            record = self._archived_record(instance_id)
+            if record is None:
+                raise
+            states = dict.fromkeys(record["execution_order"], "terminated")
+            states.update(dict.fromkeys(record["dead_activities"], "dead"))
+            return states
 
     def output(self, instance_id: str) -> dict[str, Any]:
         try:
@@ -655,7 +635,7 @@ class Engine:
         journal survives.  The engine object refuses further work.
 
         ``flush()`` is the durability barrier: under group commit
-        (``journal_sync="batch"``) any still-buffered suffix is
+        (``DurableStore(sync="batch")``) any still-buffered suffix is
         committed before the journal closes, so an orderly ``crash()``
         (and ``close()``) loses nothing — only a *hard* loss of the
         process can drop the unflushed suffix."""
@@ -663,15 +643,15 @@ class Engine:
         self._mark_crashed()
 
     def recover(self) -> int:
-        """Forward recovery from this engine's journal, or — with a
-        ``store=`` — from its newest valid checkpoint plus the journal
-        suffix past it.
+        """Forward recovery from the store's newest valid checkpoint
+        (if any) plus the journal suffix past it.
 
         Call on a *fresh* engine after re-registering definitions and
         programs; returns the number of completions replayed.
         """
-        if self._journal is None:
-            raise NavigationError("recovery requires a journal-backed engine")
+        store = self._store
+        if store is None:
+            raise NavigationError("recovery requires a store-backed engine")
         scopes = self.services.get("tx_scopes")
         if scopes is not None:
             # Scopes open at crash time are torn: roll their
@@ -679,31 +659,25 @@ class Engine:
             # replay, so re-executed activities deterministically find
             # the scope gone and route to their rollback paths.
             scopes.recover()
-        self._durable.reopen()
-        store = self._store
-        checkpoint, skipped, archived = None, 0, frozenset()
-        if store is not None:
-            checkpoint, skipped = store.latest_checkpoint()
-            archived = store.archive.ids()
-        if checkpoint is None:
-            records = self._journal.records()
-        else:
-            records = self._journal.suffix(checkpoint.offset)
+        store.reopen()
+        checkpoint, skipped = store.latest_checkpoint()
+        archived = store.archive.ids()
+        offset = checkpoint.offset if checkpoint is not None else 0
+        records = store.journal.suffix(offset)
         replayed, restored = replay(
             self.navigator, records, checkpoint, archived
         )
-        if store is not None:
-            store.last_recovery = {
-                "checkpoint": checkpoint.path if checkpoint else None,
-                "offset": checkpoint.offset if checkpoint else 0,
-                "skipped_checkpoints": skipped,
-                "suffix_records": len(records),
-                "archived_skipped": len(archived),
-                "restored_instances": restored,
-                "replayed": replayed,
-            }
+        store.last_recovery = {
+            "checkpoint": checkpoint.path if checkpoint else None,
+            "offset": offset,
+            "skipped_checkpoints": skipped,
+            "suffix_records": len(records),
+            "archived_skipped": len(archived),
+            "restored_instances": restored,
+            "replayed": replayed,
+        }
         # Barrier: post-replay journaling resumes from a durable file.
-        self._journal.flush()
+        store.journal.flush()
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "wfms_recoveries_total", "Journal replays completed"
@@ -719,8 +693,9 @@ class Engine:
         return replayed
 
     @property
-    def journal(self) -> Journal | None:
-        return self._journal
+    def journal(self) -> "SegmentedJournal | None":
+        """The store's journal, or None for a volatile engine."""
+        return self._store.journal if self._store is not None else None
 
     @property
     def store(self):
@@ -748,9 +723,9 @@ class Engine:
         return self._store.status(clock=self.navigator.clock)
 
     def close(self) -> None:
-        if self._durable is not None:
-            self._durable.flush()
-            self._durable.close()
+        if self._store is not None:
+            self._store.flush()
+            self._store.close()
 
     @property
     def crashed(self) -> bool:
@@ -768,8 +743,8 @@ class Engine:
         raise again); the durable prefix stays replayable, so
         ``recover()`` on a fresh engine works exactly as after
         :meth:`crash`."""
-        if self._durable is not None:
-            self._durable.abandon()
+        if self._store is not None:
+            self._store.abandon()
         self._mark_crashed()
 
     def _mark_crashed(self) -> None:

@@ -68,7 +68,7 @@ from repro.wfms.instance import (
     ProcessState,
     connector_key,
 )
-from repro.wfms.journal import Journal, ReplayCursor
+from repro.wfms.journal import ReplayCursor
 from repro.wfms.model import (
     PROCESS_INPUT,
     ActivityKind,
@@ -104,7 +104,6 @@ class Navigator:
         organization: Organization,
         worklists: WorklistManager,
         audit: AuditTrail,
-        journal: Journal | None = None,
         services: dict[str, Any] | None = None,
         obs=None,
         injector=None,
@@ -115,10 +114,11 @@ class Navigator:
         self._organization = organization
         self._worklists = worklists
         self._audit = audit
-        self._journal = journal
-        #: DurableStore (repro.store) or None: drives post-step
-        #: checkpointing and finished-root archiving.
+        #: DurableStore (repro.store) or None: its journal records every
+        #: decision; it drives post-step checkpointing and finished-root
+        #: archiving.
         self._store = store
+        self._journal = store.journal if store is not None else None
         self._services = services if services is not None else {}
         self.obs = obs = resolve_observability(obs)
         self._obs_on = obs.enabled

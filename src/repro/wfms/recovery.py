@@ -19,7 +19,7 @@ and re-enqueued afterwards in discovery order, so the post-recovery
 dispatch order is the (priority, arrival) order the live engine would
 have used.
 
-Under group commit (``journal_sync="batch"``) the durable journal may
+Under group commit (``DurableStore(sync="batch")``) the durable journal may
 end one batch earlier than the pre-crash engine's volatile memory: a
 hard crash loses at most the unflushed suffix.  Replay only ever sees
 durable records, so the recovered state is a consistent prefix of the
@@ -53,12 +53,12 @@ def replay(
 ) -> tuple[int, int]:
     """Replay journal ``records`` into a fresh ``navigator``.
 
-    A plain journal is the whole story: ``records`` is every record, no
-    ``checkpoint``, nothing ``archived``.  A durable store passes the
-    newest :class:`~repro.store.snapshot.Checkpoint` that verified, the
-    journal suffix past its offset, and the archive's instance ids:
-    the snapshot is restored first and only the suffix is replayed,
-    skipping every record of an archived instance.
+    The engine passes its store's newest
+    :class:`~repro.store.snapshot.Checkpoint` that verified (or None:
+    ``records`` is then the whole journal), the journal suffix past its
+    offset, and the archive's instance ids: the snapshot is restored
+    first and only the suffix is replayed, skipping every record of an
+    archived instance.
 
     Equivalence to a full replay rests on three facts (DESIGN.md
     "Durability"): the snapshot *is* the state full replay of records

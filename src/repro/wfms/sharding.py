@@ -5,7 +5,7 @@ The paper's engine model — and ours through PR 6 — is one navigation
 loop.  :class:`ShardedEngine` splits the live instance population
 across N engine **shards**: each shard is a full
 :class:`~repro.wfms.distributed.WorkflowNode` (its own Navigator,
-WorklistManager, AuditTrail, DurableStore/Journal, logical clock and
+WorklistManager, AuditTrail, DurableStore, logical clock and
 metrics labels), and a *root* instance lives on the shard selected by
 a stable hash of its instance id (:func:`shard_of`).  Subtrees stay
 with their root: blocks and subprocesses of an instance execute on the
@@ -36,7 +36,7 @@ chaos suite enforces.
 **Per-shard recovery.**  ``crash_shard(i)`` tears one shard's volatile
 state (in-flight bus messages recover for redelivery);
 ``recover_shard(i)`` rebuilds only that shard's engine from *its own*
-journal/store directory and replays only its instances.  Healthy
+store directory and replays only its instances.  Healthy
 shards keep their engines — one shard's torn state never forces a
 whole-cluster replay.  Shared services (e.g. the ``tx_scopes`` scope
 manager) are re-installed *after* replay and only the crashed shard's
@@ -83,13 +83,12 @@ def shard_of(key: str, num_shards: int) -> int:
 class ShardedEngine:
     """N in-process engine shards behind one Engine-like facade.
 
-    ``journal_dir``/``store_dir`` select per-shard durability: each
-    shard journals to its own file (``<journal_dir>/<shard>.jsonl``) or
-    owns its own :class:`~repro.store.DurableStore` directory
-    (``<store_dir>/<shard>/`` — segments, checkpoints and archive are
-    all per shard), so one shard's recovery replays only its slice of
-    history.  ``store_options`` are keyword arguments forwarded to each
-    per-shard DurableStore.
+    ``store_dir`` makes the shards durable: each shard owns its own
+    :class:`~repro.store.DurableStore` directory (``<store_dir>/<shard>/``
+    — segments, checkpoints and archive are all per shard), so one
+    shard's recovery replays only its slice of history.
+    ``store_options`` are keyword arguments forwarded to each per-shard
+    DurableStore (``sync``, a checkpoint policy, ...).
 
     Registration goes through :meth:`configure` (or the
     ``register_program``/``register_definition``/``serve``
@@ -105,7 +104,6 @@ class ShardedEngine:
         self,
         num_shards: int,
         *,
-        journal_dir: str | os.PathLike[str] | None = None,
         store_dir: str | os.PathLike[str] | None = None,
         store_options: dict[str, Any] | None = None,
         organization: Organization | None = None,
@@ -123,10 +121,6 @@ class ShardedEngine:
             raise WorkflowError("num_shards must be >= 1")
         if steps_per_slice < 1:
             raise WorkflowError("steps_per_slice must be >= 1")
-        if journal_dir is not None and store_dir is not None:
-            raise WorkflowError(
-                "journal_dir and store_dir are mutually exclusive"
-            )
         self.num_shards = num_shards
         self.seed = seed
         self.bus = bus if bus is not None else MessageBus()
@@ -140,14 +134,8 @@ class ShardedEngine:
         self.shards: list[WorkflowNode] = []
         for index in range(num_shards):
             name = "shard-%d" % index
-            journal_path = None
             store_factory = None
-            if journal_dir is not None:
-                os.makedirs(os.fspath(journal_dir), exist_ok=True)
-                journal_path = os.path.join(
-                    os.fspath(journal_dir), "%s.jsonl" % name
-                )
-            elif store_dir is not None:
+            if store_dir is not None:
                 shard_dir = os.path.join(os.fspath(store_dir), name)
                 options = dict(store_options or {})
 
@@ -160,7 +148,6 @@ class ShardedEngine:
                 WorkflowNode(
                     name,
                     self.bus,
-                    journal_path=journal_path,
                     store_factory=store_factory,
                     organization=organization,
                     observability=observability,
@@ -377,7 +364,7 @@ class ShardedEngine:
     # -- crash / recovery --------------------------------------------------
 
     def crash_shard(self, index: int) -> None:
-        """Tear one shard's volatile state; its journal/store and the
+        """Tear one shard's volatile state; its store and the
         bus survive (in-flight messages recover for redelivery)."""
         self.shards[index].crash()
 
@@ -394,7 +381,7 @@ class ShardedEngine:
         ]
 
     def recover_shard(self, index: int) -> None:
-        """Rebuild one crashed shard from its own journal/store.
+        """Rebuild one crashed shard from its own store.
 
         Healthy shards are untouched — no whole-cluster replay.  The
         recorded configuration replays first, then the journal; shared

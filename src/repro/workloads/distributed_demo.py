@@ -42,14 +42,12 @@ def configure_worker(node: WorkflowNode) -> None:
 def make_worker(
     bus: MessageBus,
     name: str = "worker",
-    journal_path: str | None = None,
     observability=None,
     **node_kwargs,
 ) -> WorkflowNode:
     node = WorkflowNode(
         name,
         bus,
-        journal_path=journal_path,
         observability=observability,
         **node_kwargs,
     )
@@ -105,7 +103,6 @@ def make_requester(
     bus: MessageBus,
     name: str = "front",
     worker: str = "worker",
-    journal_path: str | None = None,
     observability=None,
     remote_kwargs: dict | None = None,
     **node_kwargs,
@@ -113,7 +110,6 @@ def make_requester(
     node = WorkflowNode(
         name,
         bus,
-        journal_path=journal_path,
         observability=observability,
         **node_kwargs,
     )

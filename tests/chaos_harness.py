@@ -90,11 +90,13 @@ def converge_cluster(nodes, watch, rebuild, on_crash=None):
 
 
 def served(node):
-    """The request instances ``node`` served, sorted."""
+    """The request instances ``node`` served, sorted — live or
+    archived (a finished root leaves live memory for the store's
+    archive)."""
     return sorted(
-        i.instance_id
-        for i in node.engine.navigator.instances()
-        if i.instance_id.startswith("req/")
+        row["instance"]
+        for row in node.engine.process_list(include_archived=True)
+        if row["instance"].startswith("req/")
     )
 
 
@@ -102,11 +104,20 @@ def normalized_audit(engine, uuid):
     """Audit tuples modulo the one legal crash divergence: an attempt
     that was in flight at the crash is journaled as started twice (the
     interrupted start, then the resumed one) — same logical attempt,
-    so consecutive duplicate starts collapse."""
+    so consecutive duplicate starts collapse.  A finished root's
+    records are read from its archive entry, which took them out of
+    live memory."""
+    store = engine.store
+    entry = store.archive.by_id(uuid) if store is not None else None
+    if entry is not None:
+        records = [r for r in entry["audit"] if r["instance_id"] == uuid]
+    else:
+        records = [r.to_dict() for r in engine.audit.records(uuid)]
     rows = []
-    for r in engine.audit.records(uuid):
-        row = (r.event.value, r.activity, json.dumps(r.detail, sort_keys=True))
-        if rows and r.event.value == "activity_started" and rows[-1] == row:
+    for r in records:
+        detail = json.dumps(r["detail"], sort_keys=True)
+        row = (r["event"], r["activity"], detail)
+        if rows and r["event"] == "activity_started" and rows[-1] == row:
             continue
         rows.append(row)
     return rows

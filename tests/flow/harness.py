@@ -1,14 +1,17 @@
 """Shared builders for the durable-flow suite."""
 
 from repro.core.scoped import install_scope_service
+from repro.store import DurableStore
 from repro.tx import ScopeManager
 from repro.wfms import Engine
 
 
-def flow_engine(db, journal_path=None, **engine_kwargs):
+def flow_engine(db, store_dir=None, **engine_kwargs):
     """An Engine with the scope service installed (flows with
-    ``@transaction`` steps need it)."""
-    engine = Engine(journal_path=journal_path, **engine_kwargs)
+    ``@transaction`` steps need it), persisted in ``store_dir`` when
+    given (no checkpoint policy: recovery replays the whole journal)."""
+    store = DurableStore(store_dir) if store_dir is not None else None
+    engine = Engine(store=store, **engine_kwargs)
     install_scope_service(engine, ScopeManager(db))
     return engine
 

@@ -6,8 +6,8 @@ body executing exactly once.
 
 Two topologies:
 
-* plain journal-backed :class:`~repro.wfms.engine.Engine` — ten
-  schedules;
+* a store-backed :class:`~repro.wfms.engine.Engine` (no checkpoint
+  policy: recovery replays the whole journal) — ten schedules;
 * a durable socket-broker cluster (``front`` node calling flows served
   by a ``flowd`` node over :class:`~repro.net.BusServerThread` with a
   write-ahead bus log) — four schedules with flow-engine kills, plus a
@@ -33,6 +33,7 @@ from repro.flow import (
     workflow,
 )
 from repro.net import BusServerThread
+from repro.store import DurableStore
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.distributed import (
@@ -105,13 +106,13 @@ def run_plain_schedule(seed, tmp):
     kills = sorted(rng.sample(range(1, 15), 1 + rng.randrange(3)),
                    reverse=True)
     os.makedirs(tmp, exist_ok=True)
-    jp = os.path.join(tmp, "j.log")
+    jp = os.path.join(tmp, "j")
     calls: list = []
     db = SimDatabase()
     totals: dict = {}
 
     def boot():
-        engine = flow_engine(db, journal_path=jp)
+        engine = flow_engine(db, store_dir=jp)
         return engine, install_flows(engine, make_chaos_flows(calls),
                                      seed=seed)
 
@@ -196,13 +197,13 @@ class BrokerTopology:
         self.flowd = WorkflowNode(
             "flowd",
             self.flowd_bus,
-            journal_path=os.path.join(tmp, "flowd.log"),
+            store_factory=lambda: DurableStore(os.path.join(tmp, "flowd")),
         )
         self.configure_flowd(self.flowd)
         self.front = WorkflowNode(
             "front",
             self.front_bus,
-            journal_path=os.path.join(tmp, "front.log"),
+            store_factory=lambda: DurableStore(os.path.join(tmp, "front")),
             request_retries=3,
         )
         outer = ProcessDefinition(

@@ -75,9 +75,9 @@ class TestEngineVeto:
         def tiny(flow):
             return one()
 
-        journal = str(tmp_path / "j.log")
+        journal = str(tmp_path / "j")
         db = SimDatabase()
-        engine = flow_engine(db, journal_path=journal)
+        engine = flow_engine(db, store_dir=journal)
         rt = install_flows(engine, [tiny], seed=11)
         first = rt.start("tiny")
         engine.run()
@@ -85,7 +85,7 @@ class TestEngineVeto:
 
         # Fresh engine, fresh runtime with the SAME seed: its PRNG
         # would re-draw `first`, but the engine veto burns it.
-        engine2 = flow_engine(db, journal_path=journal)
+        engine2 = flow_engine(db, store_dir=journal)
         rt2 = install_flows(engine2, [tiny], seed=11)
         engine2.recover()
         engine2.run()

@@ -25,7 +25,7 @@ def capture(engine, rt, uuid, db):
         "value": result.value,
         "error": result.error,
         "output": engine.output(uuid),
-        "order": engine.audit.execution_order(uuid),
+        "order": engine.execution_order(uuid, include_children=False),
         "audit": normalized_audit(engine, uuid),
         "db": db.snapshot(),
     }
@@ -57,7 +57,7 @@ class Harness:
             install_scope_service(engine, ScopeManager(self.db))
         else:
             engine = flow_engine(
-                self.db, journal_path=os.path.join(self.dir, "j.log")
+                self.db, store_dir=os.path.join(self.dir, "j")
             )
         self.holder["manager"] = engine.services["tx_scopes"]
         self.engine = engine

@@ -42,7 +42,7 @@ def make_flows(calls):
 
 
 def build_cluster(tmp_path, shards, calls, db):
-    sharded = ShardedEngine(shards, journal_dir=tmp_path, seed=5)
+    sharded = ShardedEngine(shards, store_dir=tmp_path, seed=5)
     sharded.install_service(SCOPE_SERVICE, ScopeManager(db))
     flows = make_flows(calls)
     runtimes = {}
@@ -117,7 +117,7 @@ class TestShardedFlows:
     def test_step_failure_semantics_survive_sharding(self, tmp_path):
         calls: list = []
         db = SimDatabase()
-        sharded = ShardedEngine(2, journal_dir=tmp_path, seed=1)
+        sharded = ShardedEngine(2, store_dir=tmp_path, seed=1)
         sharded.install_service(SCOPE_SERVICE, ScopeManager(db))
 
         @step

@@ -33,6 +33,7 @@ import pytest
 
 from repro.errors import ConnectionLost, QueueOverflow
 from repro.resilience.faults import FaultInjector, FaultRule, chaos_rules
+from repro.store import DurableStore
 from repro.workloads.distributed_demo import (
     configure_requester,
     configure_worker,
@@ -186,12 +187,12 @@ def run_saga(seed, directory):
     try:
         worker = make_worker(
             worker_bus,
-            journal_path=str(directory / "worker.jsonl"),
+            store_factory=lambda: DurableStore(directory / "worker"),
             fault_injector=crash_injector,
         )
         front = make_requester(
             front_bus,
-            journal_path=str(directory / "front.jsonl"),
+            store_factory=lambda: DurableStore(directory / "front"),
             fault_injector=crash_injector,
             request_timeout=5.0,
             request_retries=8,

@@ -22,6 +22,7 @@ import pytest
 
 from repro.net import BrokerProcess
 from repro.resilience.faults import FaultInjector, FaultRule, chaos_rules
+from repro.store import DurableStore
 from repro.workloads.distributed_demo import (
     configure_requester,
     configure_worker,
@@ -52,12 +53,12 @@ def run_socket_chaos(seed, directory):
         ) as front_bus, connect(address, name="control") as control:
             worker = make_worker(
                 worker_bus,
-                journal_path=str(directory / "worker.jsonl"),
+                store_factory=lambda: DurableStore(directory / "worker"),
                 fault_injector=crash_injector,
             )
             front = make_requester(
                 front_bus,
-                journal_path=str(directory / "front.jsonl"),
+                store_factory=lambda: DurableStore(directory / "front"),
                 fault_injector=crash_injector,
                 request_timeout=5.0,
                 request_retries=6,

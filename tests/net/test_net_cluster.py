@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.net import BrokerProcess, BusServerThread
+from repro.store import DurableStore
 from repro.wfms.distributed import run_cluster
 from repro.workloads.distributed_demo import (
     configure_requester,
@@ -65,11 +66,11 @@ def test_node_crash_rebuild_and_in_flight_recovery(broker, tmp_path):
         broker.address, name="front"
     ) as front_bus:
         worker = make_worker(
-            worker_bus, journal_path=str(tmp_path / "worker.jsonl")
+            worker_bus, store_factory=lambda: DurableStore(tmp_path / "worker")
         )
         front = make_requester(
             front_bus,
-            journal_path=str(tmp_path / "front.jsonl"),
+            store_factory=lambda: DurableStore(tmp_path / "front"),
             request_timeout=5.0,
             request_retries=6,
         )
@@ -105,7 +106,7 @@ def test_rebuild_reuses_the_same_connection(broker, tmp_path):
     no reconnect storm, no lost queue state."""
     with connect(broker.address, name="worker") as worker_bus:
         worker = make_worker(
-            worker_bus, journal_path=str(tmp_path / "w.jsonl")
+            worker_bus, store_factory=lambda: DurableStore(tmp_path / "w")
         )
         worker.crash()
         worker.rebuild(configure_worker)

@@ -18,9 +18,9 @@ Invariants asserted:
 * **distributed**: under message drop/duplicate/delay plus a node
   crash, the request/reply protocol converges to the right answer
   with exactly one served instance (no duplicate effects).
-* **durable store**: the saga scenario on a store-backed engine
+* **durable store**: the saga scenario on a checkpointing store
   (checkpoints, compaction, archive, torn snapshot and compaction
-  writes) behaves exactly like the plain-journal run of its seed.
+  writes) behaves exactly like the full-replay run of its seed.
 """
 
 import pytest
@@ -66,13 +66,14 @@ SAGA = SagaSpec("chaos", [SagaStep(n) for n in ("t1", "t2", "t3", "t4")])
 
 
 # ---------------------------------------------------------------------------
-# saga workload, on a plain journal or a durable store
+# saga workload, on a full-replay store or a checkpointing one
 # ---------------------------------------------------------------------------
 
 
-def journal_engine(directory, injector):
+def full_replay_engine(directory, injector):
+    """No checkpoint policy: recovery replays the whole journal."""
     return Engine(
-        journal_path=str(directory / "saga.jsonl"), fault_injector=injector
+        store=DurableStore(directory / "saga"), fault_injector=injector
     )
 
 
@@ -88,7 +89,7 @@ def store_engine(directory, injector):
 
 
 def run_saga_chaos(
-    seed, directory, make_engine=journal_engine, extra_rules=()
+    seed, directory, make_engine=full_replay_engine, extra_rules=()
 ):
     """One saga under program + journal chaos (plus ``extra_rules``) on
     the engines ``make_engine(directory, injector)`` builds; returns
@@ -166,10 +167,11 @@ def test_saga_guarantee_under_chaos(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", STORE_SEEDS)
 def test_store_chaos_matches_plain_journal_run(seed, tmp_path):
-    """The tentpole guarantee: a store-backed run (checkpoints +
+    """The tentpole guarantee: a checkpointing run (checkpoints +
     compaction + archive) is *trace- and outcome-identical* to the
-    plain single-file-journal run of the same seed — durability
-    machinery changes recovery cost, never behaviour."""
+    full-replay run (a store with no checkpoint policy) of the same
+    seed — durability machinery changes recovery cost, never
+    behaviour."""
     # replayable against itself: same seed => same everything
     outcome, db, faults, archived = replay_twice(
         lambda d: run_saga_chaos(seed, d, store_engine), tmp_path
@@ -288,14 +290,14 @@ def run_distributed_chaos(seed, directory):
     bus.install_injector(injector)
     worker = make_worker(
         bus,
-        journal_path=str(directory / "worker.jsonl"),
+        store_factory=lambda: DurableStore(directory / "worker"),
         fault_injector=injector,
     )
     # the reply budget rides on the *node* defaults (not per-activity
     # remote_kwargs) so a crash + rebuild reconstructs the same policy
     front = make_requester(
         bus,
-        journal_path=str(directory / "front.jsonl"),
+        store_factory=lambda: DurableStore(directory / "front"),
         fault_injector=injector,
         request_timeout=5.0,
         request_retries=6,

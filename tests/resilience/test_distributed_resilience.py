@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import WorkflowError
 from repro.resilience import CircuitBreaker, FaultInjector, FaultRule, InjectedCrash
+from repro.store import DurableStore
 from repro.wfms.distributed import WorkflowNode, run_cluster
 from repro.wfms.messaging import MessageBus, dlq_name
 from repro.workloads.distributed_demo import (
@@ -95,7 +96,7 @@ class TestPendingLeakFix:
     def test_error_reply_escalates_the_requester(self, tmp_path):
         bus = MessageBus()
         worker = make_worker(
-            bus, journal_path=str(tmp_path / "worker.jsonl")
+            bus, store_factory=lambda: DurableStore(tmp_path / "worker")
         )
         front = make_requester(bus)
         iid = front.engine.start_process("Front", {"N": 5})
@@ -108,7 +109,8 @@ class TestPendingLeakFix:
         # and is rebuilt over a journal that never recorded the start,
         # while the node's volatile pending table survives
         worker.engine.crash()
-        (tmp_path / "worker.jsonl").write_text("")
+        active = tmp_path / "worker" / "journal" / "segment-00000000.jsonl"
+        active.write_text("")
         worker.rebuild(configure_worker)
         run_cluster([worker, front], watch=[(front, iid)])
         # the error reply finished the remote activity with rc=1:
@@ -243,7 +245,7 @@ class TestInjectedNodeCrash:
         bus = MessageBus()
         worker = make_worker(
             bus,
-            journal_path=str(tmp_path / "worker.jsonl"),
+            store_factory=lambda: DurableStore(tmp_path / "worker"),
             fault_injector=injector,
         )
         assert worker.pump() == 0  # pump 1: no crash

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ProgramError
 from repro.obs import ActivityEscalated, Observability, RetryScheduled
 from repro.resilience import FaultInjector, FaultRule, RetryPolicy, Timeout
+from repro.store import DurableStore
 from repro.wfms.audit import AuditEvent
 from repro.wfms.engine import Engine
 from repro.wfms.model import Activity, ProcessDefinition
@@ -257,7 +258,7 @@ class TestObservability:
 
 class TestEscalationReplay:
     def _build(self, path, succeed):
-        engine = Engine(journal_path=path)
+        engine = Engine(store=DurableStore(path))
         calls = []
 
         def program(ctx):
@@ -275,12 +276,21 @@ class TestEscalationReplay:
         return engine, calls
 
     def test_escalated_completion_replays_identically(self, tmp_path):
-        path = tmp_path / "j.jsonl"
+        reference, __ = self._build(tmp_path / "ref", succeed=False)
+        ref_iid = reference.start_process("P")
+        reference.drain()
+        before = reference.result(ref_iid)
+        assert "Fallback" in before.execution_order
+
+        # Crash once A's escalation is journaled but Fallback has not
+        # run: a finished instance is archived, and recovery never
+        # replays archived roots.
+        path = tmp_path / "j"
         engine, __ = self._build(path, succeed=False)
         iid = engine.start_process("P")
-        engine.drain()
-        before = engine.result(iid)
-        assert "Fallback" in before.execution_order
+        while engine.activity_states(iid)["A"] != "terminated":
+            assert engine.step()
+        assert engine.instance_state(iid) == "running"
         engine.crash()
 
         # The recovered engine replays the journaled escalation even

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import JournalError, ProgramError, WorkflowError
 from repro.resilience import FaultInjector, FaultRule, chaos_rules
+from repro.store import DurableStore, SegmentedJournal
 from repro.wfms.engine import Engine
-from repro.wfms.journal import Journal
 from repro.wfms.messaging import MessageBus, dlq_name
 from repro.wfms.model import Activity, ProcessDefinition
 
@@ -213,11 +213,11 @@ class TestBusInjection:
 
 class TestJournalInjection:
     def test_injected_append_fails_before_any_write(self, tmp_path):
-        path = tmp_path / "j.jsonl"
+        path = tmp_path / "j" / "segment-00000000.jsonl"
         injector = FaultInjector(
             [FaultRule("journal.append", match="process_started", schedule={1})]
         )
-        journal = Journal(path, injector=injector)
+        journal = SegmentedJournal(tmp_path / "j", injector=injector)
         with pytest.raises(JournalError):
             journal.append({"type": "process_started", "instance": "pi-1"})
         # neither the file nor memory claims the record
@@ -226,11 +226,11 @@ class TestJournalInjection:
         assert path.read_text() == ""
 
     def test_injected_fsync_fails_after_durable_prefix(self, tmp_path):
-        path = tmp_path / "j.jsonl"
+        path = tmp_path / "j" / "segment-00000000.jsonl"
         injector = FaultInjector(
             [FaultRule("journal.fsync", schedule={2})]
         )
-        journal = Journal(path, injector=injector)
+        journal = SegmentedJournal(tmp_path / "j", injector=injector)
         journal.append({"type": "process_started", "instance": "pi-1"})
         with pytest.raises(JournalError):
             journal.append({"type": "process_finished", "instance": "pi-1"})
@@ -255,7 +255,7 @@ class TestEngineDegrade:
             ]
         )
         engine = Engine(
-            journal_path=tmp_path / "j.jsonl", fault_injector=injector
+            store=DurableStore(tmp_path / "j"), fault_injector=injector
         )
         engine.register_program("ok", lambda ctx: 0)
         engine.register_definition(self._definition())
@@ -270,7 +270,7 @@ class TestEngineDegrade:
 
         # the durable prefix replays on a fresh engine; the interrupted
         # activity is re-executed from the beginning
-        engine2 = Engine(journal_path=tmp_path / "j.jsonl")
+        engine2 = Engine(store=DurableStore(tmp_path / "j"))
         engine2.register_program("ok", lambda ctx: 0)
         engine2.register_definition(self._definition())
         engine2.recover()

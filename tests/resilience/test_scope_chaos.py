@@ -19,6 +19,7 @@ from repro.core.scoped import (
     workflow_scoped_outcome,
 )
 from repro.resilience import FaultInjector, FaultRule, RetryPolicy, chaos_rules
+from repro.store import DurableStore
 from repro.tx import ScopeManager, SimDatabase
 from repro.wfms.engine import Engine
 from tests.chaos_harness import converge_engine, replay_twice
@@ -67,10 +68,10 @@ def run_scope_chaos(seed, directory, *, extra_rules=(), optional=()):
         seed=seed,
     )
     manager.injector = injector
-    journal_path = str(directory / "scoped.jsonl")
-
     def build():
-        engine = Engine(journal_path=journal_path, fault_injector=injector)
+        engine = Engine(
+            store=DurableStore(directory / "scoped"), fault_injector=injector
+        )
         engine.register_definition(translation.process)
         register_scoped_saga_programs(engine, translation, bodies, manager)
         for step in spec.steps:

@@ -191,7 +191,7 @@ def run_sharded_saga_chaos(seed, directory):
     injector = make_injector(seed)
     sharded = ShardedEngine(
         2,
-        journal_dir=directory,
+        store_dir=directory,
         fault_injector=injector,
         seed=seed,
         poll_interval=1.0,

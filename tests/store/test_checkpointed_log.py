@@ -16,7 +16,7 @@ def open_log(directory, **options):
     options.setdefault("keep_checkpoints", 2)
     return CheckpointedLog(
         str(directory),
-        journal_dirname="log",
+        segments_dirname="log",
         checkpoint_prefix="toy-",
         offset_digits=6,
         record_types={"note"},

@@ -6,9 +6,14 @@ import os
 
 import pytest
 
+from repro.core.bindings import register_programs
+from repro.core.saga_translator import translate_saga
+from repro.core.sagas import SagaSpec, SagaStep
 from repro.errors import JournalError, NavigationError, WorkflowError
 from repro.resilience import FaultInjector, FaultRule
 from repro.store import DurableStore
+from repro.tx import AbortScript, SimDatabase, Subtransaction
+from repro.tx.subtransaction import write_value
 from repro.wfms import (
     Activity,
     DataType,
@@ -92,13 +97,13 @@ class TestCheckpointedRecovery:
         assert summary["suffix_records"] < total
 
     def test_recovered_state_equals_full_replay(self, tmp_path):
-        """Checkpoint + suffix must reconstruct exactly what a plain
-        full-journal engine reconstructs from the same history."""
+        """Checkpoint + suffix must reconstruct exactly what a store
+        with no checkpoint policy (full journal replay) reconstructs
+        from the same history."""
         store_calls, plain_calls = [], []
         store_engine = build(tmp_path / "s", every=2, calls=store_calls)
         plain = Engine(
-            journal_path=str(tmp_path / "plain.jsonl"),
-            organization=make_org(),
+            store=DurableStore(tmp_path / "plain"), organization=make_org()
         )
         register(plain, plain_calls)
 
@@ -117,8 +122,7 @@ class TestCheckpointedRecovery:
         recovered = build(tmp_path / "s", every=2)
         recovered.recover()
         plain2 = Engine(
-            journal_path=str(tmp_path / "plain.jsonl"),
-            organization=make_org(),
+            store=DurableStore(tmp_path / "plain"), organization=make_org()
         )
         register(plain2)
         plain2.recover()
@@ -308,19 +312,14 @@ class TestArchiveIntegration:
 
 
 class TestEngineStoreApi:
-    def test_store_and_journal_path_mutually_exclusive(self, tmp_path):
-        store = DurableStore(tmp_path / "s")
-        with pytest.raises(WorkflowError):
-            Engine(journal_path=str(tmp_path / "j.jsonl"), store=store)
-
     def test_store_object_is_single_use(self, tmp_path):
         store = DurableStore(tmp_path / "s")
         register(Engine(store=store))
         with pytest.raises(WorkflowError):
             Engine(store=store)
 
-    def test_manual_checkpoint_requires_store(self, tmp_path):
-        engine = Engine(journal_path=str(tmp_path / "j.jsonl"))
+    def test_manual_checkpoint_requires_store(self):
+        engine = Engine()
         with pytest.raises(WorkflowError):
             engine.checkpoint()
         assert engine.store_status() == {"enabled": False}
@@ -361,3 +360,95 @@ class TestEngineStoreApi:
             span["name"] == "store.checkpoint"
             for span in engine.obs.tracer.export()
         )
+
+    def test_closed_engine_refuses_work_it_cannot_persist(self, tmp_path):
+        """Work accepted after ``close()`` would live only in memory and
+        vanish on recovery; the closed journal refuses it instead."""
+        engine = register(
+            Engine(organization=make_org(), store=DurableStore(tmp_path))
+        )
+        before = engine.start_process("Flow")
+        engine.run()
+        engine.close()
+        records = len(engine.journal)
+        with pytest.raises(JournalError):
+            engine.start_process("Flow")
+        assert len(engine.journal) == records
+
+        recovered = register(
+            Engine(organization=make_org(), store=DurableStore(tmp_path))
+        )
+        recovered.recover()
+        rows = recovered.process_list(include_archived=True)
+        assert [row["instance"] for row in rows] == [before]
+
+
+def fig2_saga_engine(store, abort_at):
+    """A three-step Figure 2 saga with step ``abort_at`` (or none)
+    aborting, on a store-backed or volatile engine."""
+    spec = SagaSpec("trip", [SagaStep(n) for n in ("t1", "t2", "t3")])
+    db = SimDatabase()
+    actions, compensations = {}, {}
+    for step in spec.steps:
+        actions[step.name] = Subtransaction(
+            step.name, db, write_value(step.name, 1)
+        )
+        if step.name == abort_at:
+            actions[step.name].policy = AbortScript([1])
+        compensations[step.name] = Subtransaction(
+            "c" + step.name, db, write_value(step.name, 0)
+        )
+    translation = translate_saga(spec)
+    engine = Engine(store=store)
+    register_programs(engine, translation, actions, compensations)
+    engine.register_definition(translation.process)
+    return engine, translation.process_name
+
+
+def dead_path_engine(store):
+    """A -> Ok on RC = 0, A -> Fallback on RC = 1: Fallback dies."""
+    engine = Engine(store=store)
+    engine.register_program("ok", lambda ctx: 0)
+    d = ProcessDefinition("Branch")
+    for name in ("A", "Ok", "Fallback"):
+        d.add_activity(Activity(name, program="ok"))
+    d.connect("A", "Ok", "RC = 0")
+    d.connect("A", "Fallback", "RC = 1")
+    engine.register_definition(d)
+    return engine, "Branch"
+
+
+#: case -> builder of (engine, process name) over a store or None.
+PARITY_CASES = {
+    "fig2-commit": lambda store: fig2_saga_engine(store, None),
+    "fig2-abort-t1": lambda store: fig2_saga_engine(store, "t1"),
+    "fig2-abort-t2": lambda store: fig2_saga_engine(store, "t2"),
+    "fig2-abort-t3": lambda store: fig2_saga_engine(store, "t3"),
+    "dead-path": dead_path_engine,
+}
+
+
+class TestArchivedActivityStates:
+    """``activity_states`` of a finished (archived) instance answers
+    from the archive exactly what a volatile engine answers live."""
+
+    @pytest.mark.parametrize("case", list(PARITY_CASES))
+    def test_matches_a_volatile_engine(self, tmp_path, case):
+        volatile, name = PARITY_CASES[case](None)
+        durable, __ = PARITY_CASES[case](DurableStore(tmp_path))
+        live = volatile.run_process(name).instance_id
+        archived = durable.run_process(name).instance_id
+        assert live == archived
+        assert archived in durable.store.archive.ids()
+
+        # the root plus every block child (the FIG2 blocks), all archived
+        ids = [row["instance"] for row in volatile.process_list()]
+        assert ids == [
+            row["instance"]
+            for row in durable.process_list(include_archived=True)
+        ]
+        states = {i: volatile.activity_states(i) for i in ids}
+        assert {i: durable.activity_states(i) for i in ids} == states
+        assert "dead" in {
+            state for by_name in states.values() for state in by_name.values()
+        }

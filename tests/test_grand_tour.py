@@ -13,6 +13,7 @@ systems); the engine's journal is what prevents double execution.
 
 import pytest
 
+from repro.store import DurableStore
 from repro.tx import AbortScript, SimDatabase, Subtransaction
 from repro.tx.subtransaction import write_value
 from repro.wfms.engine import Engine
@@ -45,9 +46,9 @@ class CountingSubtransaction(Subtransaction):
         return super().execute()
 
 
-def build_engine(journal_path, database, counters, *, abort_t3=True):
+def build_engine(store_dir, database, counters, *, abort_t3=True):
     """Fresh engine + pipeline over the shared database/counters."""
-    engine = Engine(journal_path=journal_path)
+    engine = Engine(store=DurableStore(store_dir))
     spec = parse_spec(SPEC_TEXT)
     translation = translate_saga(spec)
     actions = {}
@@ -87,7 +88,7 @@ class TestGrandTour:
         """Crash after k navigator steps (covering forward execution,
         the abort, and mid-compensation), recover, finish: the saga
         guarantee holds and nothing ran twice."""
-        journal = str(tmp_path / "j.jsonl")
+        journal = str(tmp_path / "j")
         database = SimDatabase("resources")
         counters: dict[str, int] = {}
         engine, report = build_engine(journal, database, counters)
@@ -118,7 +119,7 @@ class TestGrandTour:
         }
 
     def test_double_crash_is_still_exactly_once(self, tmp_path):
-        journal = str(tmp_path / "j.jsonl")
+        journal = str(tmp_path / "j")
         database = SimDatabase("resources")
         counters: dict[str, int] = {}
         engine, report = build_engine(journal, database, counters)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.errors import WorkflowError
+from repro.store import DurableStore
 from repro.wfms import Activity, DataType, ProcessDefinition, VariableDecl
 from repro.wfms.distributed import WorkflowNode, run_cluster
 from repro.wfms.messaging import MessageBus
@@ -210,7 +211,7 @@ class TestCrashSafety:
         bus = MessageBus()
         worker = make_worker(bus)
         front = make_requester(
-            bus, journal_path=str(tmp_path / "front.journal")
+            bus, store_factory=lambda: DurableStore(tmp_path / "front")
         )
         iid = front.engine.start_process("Front", {"N": 7})
         front.engine.step()  # poll attempt 1: request sent
@@ -225,7 +226,7 @@ class TestCrashSafety:
     def test_worker_crash_before_processing(self, tmp_path):
         bus = MessageBus()
         worker = make_worker(
-            bus, journal_path=str(tmp_path / "worker.journal")
+            bus, store_factory=lambda: DurableStore(tmp_path / "worker")
         )
         front = make_requester(bus)
         iid = front.engine.start_process("Front", {"N": 3})
@@ -238,7 +239,7 @@ class TestCrashSafety:
     def test_worker_crash_after_processing_before_ack(self, tmp_path):
         bus = MessageBus()
         worker = make_worker(
-            bus, journal_path=str(tmp_path / "worker.journal")
+            bus, store_factory=lambda: DurableStore(tmp_path / "worker")
         )
         front = make_requester(bus)
         iid = front.engine.start_process("Front", {"N": 4})

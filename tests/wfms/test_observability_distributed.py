@@ -6,6 +6,7 @@ replay, and message redelivery (the redelivered request must not start
 a second trace).
 """
 
+from repro.store import DurableStore
 from repro.wfms.distributed import run_cluster
 from repro.wfms.messaging import MessageBus
 from repro.workloads.distributed_demo import (
@@ -103,7 +104,7 @@ class TestCrashReplayTrace:
         bus = MessageBus()
         worker = make_worker(
             bus,
-            journal_path=str(tmp_path / "worker.journal"),
+            store_factory=lambda: DurableStore(tmp_path / "worker"),
             observability=True,
         )
         front = make_requester(bus, observability=True)
@@ -150,7 +151,7 @@ class TestCrashReplayTrace:
         worker = make_worker(bus, observability=True)
         front = make_requester(
             bus,
-            journal_path=str(tmp_path / "front.journal"),
+            store_factory=lambda: DurableStore(tmp_path / "front"),
             observability=True,
         )
         iid = front.engine.start_process("Front", {"N": 7})

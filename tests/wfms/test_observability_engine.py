@@ -25,6 +25,7 @@ from repro.obs.export import (
     to_prometheus_text,
     write_snapshot,
 )
+from repro.store import DurableStore
 from repro.wfms import (
     Activity,
     DataType,
@@ -35,10 +36,8 @@ from repro.wfms import (
 from repro.wfms.model import ActivityKind
 
 
-def sequential_engine(observability=True, journal_path=None, **engine_kwargs):
-    engine = Engine(
-        journal_path=journal_path, observability=observability, **engine_kwargs
-    )
+def sequential_engine(observability=True, store=None, **engine_kwargs):
+    engine = Engine(store=store, observability=observability, **engine_kwargs)
     engine.register_program("ok", lambda ctx: 0, "no-op")
     definition = ProcessDefinition("Seq")
     definition.add_activity(Activity("A", program="ok"))
@@ -249,9 +248,7 @@ class TestWorklistObservability:
 
 class TestJournalObservability:
     def test_always_sync_commits_per_append(self, tmp_path):
-        engine = sequential_engine(
-            journal_path=str(tmp_path / "j.jsonl")
-        )
+        engine = sequential_engine(store=DurableStore(tmp_path / "j"))
         synced = []
         engine.obs.hooks.subscribe(JournalSynced, synced.append)
         engine.run_process("Seq")
@@ -264,10 +261,12 @@ class TestJournalObservability:
 
     def test_batch_sync_reports_reasons_and_unflushed(self, tmp_path):
         engine = sequential_engine(
-            journal_path=str(tmp_path / "j.jsonl"),
-            journal_sync="batch",
-            journal_batch_size=1000,
-            journal_batch_interval=3600.0,
+            store=DurableStore(
+                tmp_path / "j",
+                sync="batch",
+                batch_size=1000,
+                batch_interval=3600.0,
+            )
         )
         engine.run_process("Seq")
         unflushed = engine.obs.metrics.get("wfms_journal_unflushed")
@@ -282,9 +281,14 @@ class TestJournalObservability:
 
 class TestCrashRecoverObservability:
     def test_crash_and_recover_counters_and_events(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        engine = sequential_engine(journal_path=path)
-        engine.run_process("Seq")
+        path = str(tmp_path / "j")
+        engine = sequential_engine(store=DurableStore(path))
+        # Two live instances, one completion each: a finished instance
+        # is archived, and recovery never replays archived roots.
+        engine.start_process("Seq")
+        engine.start_process("Seq")
+        engine.step()
+        engine.step()
         crashes = []
         engine.obs.hooks.subscribe(EngineCrashed, crashes.append)
         engine.crash()
@@ -294,7 +298,7 @@ class TestCrashRecoverObservability:
         )
 
         fresh = sequential_engine(
-            observability=True, journal_path=path
+            observability=True, store=DurableStore(path)
         )
         recovered = []
         fresh.obs.hooks.subscribe(EngineRecovered, recovered.append)
@@ -309,8 +313,8 @@ class TestCrashRecoverObservability:
         assert span.attributes["replayed"] == 2
 
     def test_recovered_instance_rejoins_its_trace(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        engine = sequential_engine(journal_path=path)
+        path = str(tmp_path / "j")
+        engine = sequential_engine(store=DurableStore(path))
         iid = engine.start_process("Seq")
         [old_root] = engine.obs.tracer.spans(name="process Seq")
         trace = {
@@ -321,7 +325,9 @@ class TestCrashRecoverObservability:
         assert trace[iid]["trace_id"] == old_root.trace_id
         engine.crash()
 
-        fresh = sequential_engine(observability=True, journal_path=path)
+        fresh = sequential_engine(
+            observability=True, store=DurableStore(path)
+        )
         fresh.recover()
         fresh.run()
         assert fresh.instance_state(iid) == "finished"

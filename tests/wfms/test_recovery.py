@@ -7,20 +7,28 @@ resumed from the point where the failure occurred."
 
 import pytest
 
-from repro.errors import NavigationError, RecoveryError
+from repro.errors import JournalError, NavigationError, RecoveryError
+from repro.store import DurableStore, SegmentedJournal
 from repro.wfms import Activity, DataType, Engine, ProcessDefinition, VariableDecl
-from repro.wfms.journal import Journal, ReplayCursor, load_journal
+from repro.wfms.journal import ReplayCursor
 from repro.wfms.model import PROCESS_OUTPUT, ActivityKind
 
 
 @pytest.fixture
-def journal_path(tmp_path):
-    return str(tmp_path / "journal.jsonl")
+def store_dir(tmp_path):
+    return str(tmp_path / "store")
 
 
-def build_engine(journal_path, calls):
-    """Three-step sequential process with call counting."""
-    engine = Engine(journal_path=journal_path)
+def durable_records(directory):
+    """The records a restart reads back from a journal directory."""
+    with SegmentedJournal(directory) as journal:
+        return journal.records()
+
+
+def build_engine(store_dir, calls):
+    """Three-step sequential process with call counting, persisted
+    through a store with no checkpoint policy (full replay)."""
+    engine = Engine(store=DurableStore(store_dir))
 
     def make(name):
         def program(ctx):
@@ -48,29 +56,34 @@ def build_engine(journal_path, calls):
 
 
 class TestJournal:
-    def test_records_survive_reopen(self, journal_path):
-        with Journal(journal_path) as journal:
+    def test_records_survive_reopen(self, tmp_path):
+        with SegmentedJournal(tmp_path / "j") as journal:
             journal.append({"type": "process_finished", "instance": "pi-1"})
-        assert load_journal(journal_path) == [
+        assert durable_records(tmp_path / "j") == [
             {"type": "process_finished", "instance": "pi-1"}
         ]
 
-    def test_illegal_record_type_rejected(self, journal_path):
-        with Journal(journal_path) as journal:
+    def test_illegal_record_type_rejected(self, tmp_path):
+        with SegmentedJournal(tmp_path / "j") as journal:
             with pytest.raises(RecoveryError):
                 journal.append({"type": "garbage"})
 
-    def test_torn_tail_line_ignored(self, journal_path):
-        with Journal(journal_path) as journal:
+    def test_torn_tail_line_ignored(self, tmp_path):
+        with SegmentedJournal(tmp_path / "j") as journal:
             journal.append({"type": "process_finished", "instance": "pi-1"})
-        with open(journal_path, "a", encoding="utf-8") as handle:
+        active = tmp_path / "j" / "segment-00000000.jsonl"
+        with open(active, "a", encoding="utf-8") as handle:
             handle.write('{"type": "activity_co')  # crash mid-append
-        assert len(load_journal(journal_path)) == 1
+        assert len(durable_records(tmp_path / "j")) == 1
 
-    def test_memory_journal(self):
-        journal = Journal()
+    def test_closed_journal_refuses_appends(self, tmp_path):
+        journal = SegmentedJournal(tmp_path / "j")
         journal.append({"type": "process_finished", "instance": "x"})
+        journal.close()
+        with pytest.raises(JournalError, match="closed"):
+            journal.append({"type": "process_finished", "instance": "y"})
         assert len(journal) == 1
+        assert durable_records(tmp_path / "j") == journal.records()
 
     def test_cursor_duplicate_completion_rejected(self):
         rec = {
@@ -85,13 +98,13 @@ class TestJournal:
 
 
 class TestCrashRecovery:
-    def test_crash_before_any_step(self, journal_path):
+    def test_crash_before_any_step(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         iid = engine.start_process("P")
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         assert engine2.instance_state(iid) == "running"
         engine2.run()
@@ -100,16 +113,16 @@ class TestCrashRecovery:
 
     @pytest.mark.parametrize("steps_before_crash", [1, 2])
     def test_crash_mid_process_resumes_without_rerunning(
-        self, journal_path, steps_before_crash
+        self, store_dir, steps_before_crash
     ):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         iid = engine.start_process("P")
         for _ in range(steps_before_crash):
             engine.step()
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         replayed = engine2.recover()
         assert replayed == steps_before_crash
         engine2.run()
@@ -118,20 +131,20 @@ class TestCrashRecovery:
         # *not* re-executed, pending work ran after recovery.
         assert calls == {"A": 1, "B": 1, "C": 1}
 
-    def test_crash_after_finish_recovers_finished(self, journal_path):
+    def test_crash_after_finish_recovers_finished(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         result = engine.run_process("P")
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         assert engine2.instance_state(result.instance_id) == "finished"
         assert calls == {"A": 1, "B": 1, "C": 1}
 
-    def test_crashed_engine_refuses_work(self, journal_path):
+    def test_crashed_engine_refuses_work(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         engine.start_process("P")
         engine.crash()
         with pytest.raises(NavigationError):
@@ -139,11 +152,11 @@ class TestCrashRecovery:
         with pytest.raises(NavigationError):
             engine.start_process("P")
 
-    def test_crashed_engine_refuses_clock_advance(self, journal_path):
+    def test_crashed_engine_refuses_clock_advance(self, store_dir):
         # Regression: a crashed engine must not keep advancing its
         # clock (and raising deadline notifications) as if alive.
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         engine.start_process("P")
         engine.advance_clock(1.0)
         engine.crash()
@@ -151,15 +164,15 @@ class TestCrashRecovery:
             engine.advance_clock(1.0)
         assert engine.clock == 1.0
 
-    def test_recovered_outputs_match_pre_crash(self, journal_path):
+    def test_recovered_outputs_match_pre_crash(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         iid = engine.start_process("P")
         engine.step()
         pre = engine.navigator.instance(iid).activity("A").output.to_dict()
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         post = engine2.navigator.instance(iid).activity("A").output.to_dict()
         assert post == pre
@@ -169,14 +182,17 @@ class TestCrashRecovery:
         with pytest.raises(NavigationError):
             engine.recover()
 
-    def test_recovery_with_wrong_definitions_detected(self, journal_path):
+    def test_recovery_with_wrong_definitions_detected(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
-        engine.run_process("P")
+        engine = build_engine(store_dir, calls)
+        # Crash with the instance still live: a finished one is
+        # archived, and recovery never re-navigates archived roots.
+        engine.start_process("P")
+        engine.step()
         engine.crash()
 
         # Re-register a *different* P whose activity names don't match.
-        engine2 = Engine(journal_path=journal_path)
+        engine2 = Engine(store=DurableStore(store_dir))
         engine2.register_program("px", lambda ctx: 0)
         d = ProcessDefinition("P")
         d.add_activity(Activity("Other", program="px"))
@@ -184,9 +200,9 @@ class TestCrashRecovery:
         with pytest.raises(RecoveryError):
             engine2.recover()
 
-    def test_multiple_instances_recovered(self, journal_path):
+    def test_multiple_instances_recovered(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         i1 = engine.start_process("P")
         i2 = engine.start_process("P")
         engine.run()
@@ -194,7 +210,7 @@ class TestCrashRecovery:
         engine.step()
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         assert engine2.instance_state(i1) == "finished"
         assert engine2.instance_state(i2) == "finished"
@@ -202,29 +218,29 @@ class TestCrashRecovery:
         engine2.run()
         assert engine2.instance_state(i3) == "finished"
 
-    def test_new_instances_after_recovery_get_fresh_ids(self, journal_path):
+    def test_new_instances_after_recovery_get_fresh_ids(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         i1 = engine.start_process("P")
         engine.run()
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         i2 = engine2.start_process("P")
         assert i2 != i1
         engine2.run()
         assert engine2.instance_state(i2) == "finished"
 
-    def test_suspended_instance_recovers_suspended(self, journal_path):
+    def test_suspended_instance_recovers_suspended(self, store_dir):
         calls = {}
-        engine = build_engine(journal_path, calls)
+        engine = build_engine(store_dir, calls)
         iid = engine.start_process("P")
         engine.step()
         engine.suspend(iid)
         engine.crash()
 
-        engine2 = build_engine(journal_path, calls)
+        engine2 = build_engine(store_dir, calls)
         engine2.recover()
         assert engine2.instance_state(iid) == "suspended"
         engine2.resume(iid)
@@ -234,11 +250,11 @@ class TestCrashRecovery:
 
 
 class TestCrashRecoveryWithBlocks:
-    def test_block_child_recovered(self, journal_path):
+    def test_block_child_recovered(self, store_dir):
         calls = {"inner": 0}
 
         def build(path):
-            engine = Engine(journal_path=path)
+            engine = Engine(store=DurableStore(path))
 
             def inner(ctx):
                 calls["inner"] += 1
@@ -259,26 +275,26 @@ class TestCrashRecoveryWithBlocks:
             engine.register_definition(outer)
             return engine
 
-        engine = build(journal_path)
+        engine = build(store_dir)
         iid = engine.start_process("Outer")
         engine.step()  # executes the block activity (starts the child)
         engine.step()  # runs I1 inside the block
         assert calls["inner"] == 1
         engine.crash()
 
-        engine2 = build(journal_path)
+        engine2 = build(store_dir)
         engine2.recover()
         engine2.run()
         assert engine2.instance_state(iid) == "finished"
         assert calls["inner"] == 2  # I2 ran post-recovery; I1 not re-run
 
-    def test_rescheduled_attempts_replay_exactly(self, journal_path):
+    def test_rescheduled_attempts_replay_exactly(self, store_dir):
         # An activity that looped twice before the crash must replay
         # both attempts and keep the final output.
         state = {"n": 0}
 
         def build(path):
-            engine = Engine(journal_path=path)
+            engine = Engine(store=DurableStore(path))
 
             def flaky(ctx):
                 state["n"] += 1
@@ -295,14 +311,14 @@ class TestCrashRecoveryWithBlocks:
             engine.register_definition(d)
             return engine
 
-        engine = build(journal_path)
+        engine = build(store_dir)
         iid = engine.start_process("P")
         engine.step()  # attempt 1, rc 1
         engine.step()  # attempt 2, rc 1
         assert state["n"] == 2
         engine.crash()
 
-        engine2 = build(journal_path)
+        engine2 = build(store_dir)
         engine2.recover()
         engine2.run()
         assert engine2.instance_state(iid) == "finished"

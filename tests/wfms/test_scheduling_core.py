@@ -5,6 +5,7 @@ journal replay round-trip through the new queue."""
 import pytest
 
 from repro.errors import DefinitionError, NavigationError, WorklistError
+from repro.store import DurableStore
 from repro.wfms import (
     Activity,
     ActivityKind,
@@ -363,9 +364,9 @@ class TestSubprocessCycles:
 
 
 class TestReplayRoundTrip:
-    def build(self, journal_path, calls):
+    def build(self, store_dir, calls):
         """Mixed-priority process with a loop and parallel branches."""
-        engine = Engine(journal_path=journal_path)
+        engine = Engine(store=DurableStore(store_dir))
 
         def make(name, flaky=False):
             def program(ctx):
@@ -407,13 +408,13 @@ class TestReplayRoundTrip:
     def test_crash_replay_preserves_dispatch_order(self, tmp_path):
         # Reference run, no crash.
         ref_calls = []
-        ref = self.build(str(tmp_path / "ref.jsonl"), ref_calls)
+        ref = self.build(str(tmp_path / "ref"), ref_calls)
         ref_result = ref.run_process("P")
         assert ref_result.finished
 
         # Crashed run: stop halfway, recover into a fresh engine.
         calls = []
-        path = str(tmp_path / "crash.jsonl")
+        path = str(tmp_path / "crash")
         engine = self.build(path, calls)
         iid = engine.start_process("P")
         engine.step()  # Split
@@ -437,7 +438,7 @@ class TestReplayRoundTrip:
 
     def test_priorities_respected_after_recovery(self, tmp_path):
         calls = []
-        path = str(tmp_path / "j.jsonl")
+        path = str(tmp_path / "j")
         engine = self.build(path, calls)
         iid = engine.start_process("P")
         engine.step()  # Split only

@@ -7,6 +7,7 @@ workflow must deterministically route through its rollback path.
 
 import pytest
 
+from repro.store import DurableStore
 from repro.tx import ScopeManager, SimDatabase
 from repro.tx.scope import IsolationLevel
 from repro.wfms import Activity, DataType, Engine, ProcessDefinition, VariableDecl
@@ -31,10 +32,10 @@ def scope_write(key, value):
     return body
 
 
-def build_engine(journal_path, db, manager):
+def build_engine(store_dir, db, manager):
     """Fresh engine over the surviving database + scope manager."""
     translation = translate_scoped_saga(SPEC)
-    engine = Engine(journal_path=journal_path)
+    engine = Engine(store=DurableStore(store_dir))
     engine.register_definition(translation.process)
     bodies = {s.name: scope_write(s.name, 1) for s in SPEC.steps}
     register_scoped_saga_programs(engine, translation, bodies, manager)
@@ -42,15 +43,15 @@ def build_engine(journal_path, db, manager):
 
 
 @pytest.fixture
-def journal_path(tmp_path):
-    return str(tmp_path / "journal.jsonl")
+def store_dir(tmp_path):
+    return str(tmp_path / "store")
 
 
 class TestMidScopeCrash:
-    def test_crash_mid_scope_leaves_no_partial_writes(self, journal_path):
+    def test_crash_mid_scope_leaves_no_partial_writes(self, store_dir):
         db = SimDatabase()
         manager = ScopeManager(db)
-        engine, translation = build_engine(journal_path, db, manager)
+        engine, translation = build_engine(store_dir, db, manager)
         iid = engine.start_process(translation.process.name)
         # Execute Begin and t1 only: the scope is open, t1's write
         # uncommitted.
@@ -59,7 +60,7 @@ class TestMidScopeCrash:
         assert db.get("t1") == 1  # dirty, inside the open scope
         engine.crash()
 
-        engine2, translation2 = build_engine(journal_path, db, manager)
+        engine2, translation2 = build_engine(store_dir, db, manager)
         engine2.recover()
         # The torn scope was rolled back before replay resumed.
         assert db.get("t1") is None
@@ -69,34 +70,34 @@ class TestMidScopeCrash:
         assert outcome.rolled_back and not outcome.committed
         assert db.snapshot() == {}
 
-    def test_crash_after_commit_keeps_writes(self, journal_path):
+    def test_crash_after_commit_keeps_writes(self, store_dir):
         db = SimDatabase()
         manager = ScopeManager(db)
-        engine, translation = build_engine(journal_path, db, manager)
+        engine, translation = build_engine(store_dir, db, manager)
         iid = engine.start_process(translation.process.name)
         engine.run()
         assert db.snapshot() == {"t1": 1, "t2": 1, "t3": 1}
         engine.crash()
 
-        engine2, translation2 = build_engine(journal_path, db, manager)
+        engine2, translation2 = build_engine(store_dir, db, manager)
         engine2.recover()
         engine2.run()
         outcome = workflow_scoped_outcome(engine2, translation2, iid)
         assert outcome.committed
         assert db.snapshot() == {"t1": 1, "t2": 1, "t3": 1}
 
-    def test_double_crash_converges(self, journal_path):
+    def test_double_crash_converges(self, store_dir):
         db = SimDatabase()
         manager = ScopeManager(db)
-        engine, translation = build_engine(journal_path, db, manager)
+        engine, translation = build_engine(store_dir, db, manager)
         iid = engine.start_process(translation.process.name)
         assert engine.navigator.step()
         engine.crash()
-        engine2, __ = build_engine(journal_path, db, manager)
+        engine2, __ = build_engine(store_dir, db, manager)
         engine2.recover()
         assert engine2.navigator.step()
         engine2.crash()
-        engine3, translation3 = build_engine(journal_path, db, manager)
+        engine3, translation3 = build_engine(store_dir, db, manager)
         engine3.recover()
         engine3.run()
         outcome = workflow_scoped_outcome(engine3, translation3, iid)
@@ -153,15 +154,15 @@ class TestRootFinishSafetyNet:
 
 
 class TestServiceWiring:
-    def test_recover_without_scope_service_is_fine(self, journal_path):
-        engine = Engine(journal_path=journal_path)
+    def test_recover_without_scope_service_is_fine(self, store_dir):
+        engine = Engine(store=DurableStore(store_dir))
         engine.register_program("p", lambda ctx: 0)
         defn = ProcessDefinition("P")
         defn.add_activity(Activity("A", program="p"))
         engine.register_definition(defn)
         engine.start_process("P")
         engine.crash()
-        engine2 = Engine(journal_path=journal_path)
+        engine2 = Engine(store=DurableStore(store_dir))
         engine2.register_program("p", lambda ctx: 0)
         engine2.register_definition(defn)
         engine2.recover()  # no tx_scopes service: no-op, no error

@@ -215,7 +215,7 @@ class TestDeterminism:
 
 class TestPerShardRecovery:
     def test_one_shard_recovers_without_cluster_replay(self, tmp_path):
-        sharded = ShardedEngine(3, journal_dir=tmp_path, seed=2)
+        sharded = ShardedEngine(3, store_dir=tmp_path, seed=2)
         register_flow(sharded)
         ids = [
             sharded.start_process("Flow", {"N": n}) for n in range(12)
@@ -238,7 +238,7 @@ class TestPerShardRecovery:
             assert sharded.instance_state(iid) == "finished"
 
     def test_crashed_shard_is_skipped_by_queries(self, tmp_path):
-        sharded = ShardedEngine(2, journal_dir=tmp_path)
+        sharded = ShardedEngine(2, store_dir=tmp_path)
         register_flow(sharded)
         ids = [sharded.start_process("Flow", {"N": n}) for n in range(8)]
         sharded.run()
@@ -258,7 +258,7 @@ class TestPerShardRecovery:
         assert sharded.instance_state(on_crashed[0]) == "finished"
 
     def test_running_with_every_shard_down_raises(self, tmp_path):
-        sharded = ShardedEngine(2, journal_dir=tmp_path)
+        sharded = ShardedEngine(2, store_dir=tmp_path)
         register_flow(sharded)
         sharded.crash()
         with pytest.raises(WorkflowError, match="every shard is crashed"):

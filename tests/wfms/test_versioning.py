@@ -4,6 +4,7 @@ name, version number, ...")."""
 import pytest
 
 from repro.errors import DefinitionError
+from repro.store import DurableStore
 from repro.wfms import Activity, Engine, ProcessDefinition
 from repro.wfms.registry import DefinitionRegistry
 
@@ -120,8 +121,8 @@ class TestEngineVersioning:
         assert engine.audit.execution_order(iid) == ["Step1", "Step2"]
 
     def test_recovery_replays_recorded_version(self, tmp_path):
-        journal = str(tmp_path / "j.jsonl")
-        engine = Engine(journal_path=journal)
+        journal = str(tmp_path / "j")
+        engine = Engine(store=DurableStore(journal))
         engine.register_program("ok", lambda ctx: 0)
         v1 = ProcessDefinition("P", version="1")
         v1.add_activity(Activity("Old", program="ok"))
@@ -134,7 +135,7 @@ class TestEngineVersioning:
 
         # Recover into an engine that ALSO has a newer version: the
         # instance must continue on version 1.
-        engine2 = Engine(journal_path=journal)
+        engine2 = Engine(store=DurableStore(journal))
         engine2.register_program("ok", lambda ctx: 0)
         v1b = ProcessDefinition("P", version="1")
         v1b.add_activity(Activity("Old", program="ok"))
@@ -147,4 +148,4 @@ class TestEngineVersioning:
         engine2.recover()
         engine2.run()
         assert engine2.instance_state(iid) == "finished"
-        assert engine2.audit.execution_order(iid) == ["Old", "Tail"]
+        assert engine2.execution_order(iid) == ["Old", "Tail"]

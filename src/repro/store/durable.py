@@ -4,7 +4,8 @@
 
     store/
       journal/                segment files + MANIFEST.json
-      archive.jsonl           finished-instance archive
+      archive.jsonl           finished-instance archive (the index)
+      archive-audit.jsonl     finished roots' audit slices (read on demand)
       checkpoint-<offset>.json  snapshots (latest ``keep_checkpoints``)
 
 and plugs into ``Engine(store=...)``.  The engine drives it from three

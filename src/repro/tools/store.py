@@ -30,6 +30,7 @@ import sys
 
 from repro.errors import RecoveryError, WorkflowError
 from repro.store import Checkpoint, DurableStore
+from repro.store.archive import INLINE_FORMAT
 
 
 def _open_store(directory: str) -> DurableStore:
@@ -181,6 +182,11 @@ def cmd_archive_query(store: DurableStore, args, out) -> int:
         if view is None:
             print("error: %s is not archived" % args.id, file=out)
             return 1
+        if "instances" in view:
+            # A root: print its entry in the inline (format-1) shape,
+            # audit slice attached, as the command always has.
+            view = {k: v for k, v in view.items() if k != "audit_ref"}
+            view.update(format=INLINE_FORMAT, audit=archive.audit(args.id))
         print(json.dumps(view, indent=2, sort_keys=True), file=out)
         return 0
     if args.since is not None or args.until is not None:

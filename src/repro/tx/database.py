@@ -275,31 +275,30 @@ class SimDatabase:
     def _undo(self, txn_id: str, after_lsn: int = -1) -> None:
         """Roll back ``txn_id`` using before-images, logging CLRs.
 
-        ``after_lsn`` bounds the undo for partial rollback: only
-        updates logged after that LSN are reversed.  Updates already
-        compensated by an earlier partial rollback are skipped, exactly
-        like the restart undo pass skips them via ``undo_next``.
+        Walks the transaction's ``prev_lsn`` chain from its newest
+        record, so the cost is its own record count, not the log's.
+        ``after_lsn`` bounds the undo for partial rollback: the walk
+        stops at that LSN.  Updates already compensated by an earlier
+        partial rollback are skipped: their CLRs come later in the
+        chain, so the walk meets them first.
         """
-        records = self.log.records_of(txn_id)
-        compensated = {
-            r.undo_next for r in records if r.kind is LogKind.CLR
-        }
-        updates = [
-            r
-            for r in records
-            if r.kind is LogKind.UPDATE
-            and r.lsn > after_lsn
-            and r.lsn not in compensated
-        ]
-        for record in reversed(updates):
-            self.log.append(
-                LogKind.CLR,
-                txn_id,
-                record.key,
-                after=record.before,
-                undo_next=record.lsn,
-            )
-            self._put(record.key, record.before)
+        log = self.log
+        compensated: set[int] = set()
+        lsn = log.head(txn_id)
+        while lsn > after_lsn:
+            record = log.record(lsn)
+            if record.kind is LogKind.CLR:
+                compensated.add(record.undo_next)
+            elif record.kind is LogKind.UPDATE and lsn not in compensated:
+                log.append(
+                    LogKind.CLR,
+                    txn_id,
+                    record.key,
+                    after=record.before,
+                    undo_next=lsn,
+                )
+                self._put(record.key, record.before)
+            lsn = record.prev_lsn
 
     def _end(self, txn: Transaction) -> None:
         self.locks.release_all(txn.txn_id)

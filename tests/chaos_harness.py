@@ -105,12 +105,12 @@ def normalized_audit(engine, uuid):
     that was in flight at the crash is journaled as started twice (the
     interrupted start, then the resumed one) — same logical attempt,
     so consecutive duplicate starts collapse.  A finished root's
-    records are read from its archive entry, which took them out of
-    live memory."""
+    records are read from its archived audit slice, which took them
+    out of live memory."""
     store = engine.store
-    entry = store.archive.by_id(uuid) if store is not None else None
-    if entry is not None:
-        records = [r for r in entry["audit"] if r["instance_id"] == uuid]
+    archived = store.archive.audit(uuid) if store is not None else None
+    if archived is not None:
+        records = [r for r in archived if r["instance_id"] == uuid]
     else:
         records = [r.to_dict() for r in engine.audit.records(uuid)]
     rows = []

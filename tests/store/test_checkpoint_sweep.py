@@ -7,8 +7,10 @@ the engine crashes after step ``j`` — so the journal suffix past the
 snapshot holds 0..n-k steps' worth of records, including the positions
 where the snapshot caught a block activity RUNNING and the suffix holds
 its (derived) completion record.  A fresh engine recovers and runs to
-the end; outcome, execution order and every subtransaction's attempt
-count must equal the run nothing interrupted.  The subtransaction
+the end; outcome, execution order, every subtransaction's attempt
+count and the archived audit slice (read through
+``archive.audit(root)``, modulo a resumed attempt's second start
+record) must equal the run nothing interrupted.  The subtransaction
 objects survive the crash, so an attempt count above the baseline means
 recovery ran a step a second time.
 """
@@ -22,6 +24,7 @@ from repro.tx import AbortProbability, AlwaysAbort, SimDatabase
 from repro.wfms import Engine
 from repro.workloads import fig3_bindings, fig3_spec
 from repro.workloads.generator import saga_bindings
+from tests.chaos_harness import normalized_audit
 
 #: on this seed t8 aborts after t5 and t6 committed: both are
 #: compensated and the transaction commits on the t7 path.
@@ -89,6 +92,7 @@ class Run:
             engine.execution_order(instance),
             {name: sub.attempts for name, sub in self.actions.items()},
             {name: sub.attempts for name, sub in self.compensations.items()},
+            normalized_audit(engine, instance),
         )
 
 

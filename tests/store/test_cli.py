@@ -1,6 +1,8 @@
 """The store operator CLI: inspect, checkpoint, compact, archive-query."""
 
+import hashlib
 import io
+import json
 
 from repro.store import Checkpoint, DurableStore
 from repro.tools.store import main
@@ -117,6 +119,25 @@ class TestCli:
         code, text = run_cli("archive-query", directory, "--id", "pi-9999")
         assert code == 1
         assert "not archived" in text
+
+    def test_archive_query_by_id_prints_the_inline_entry(self, tmp_path):
+        """A root's entry prints byte for byte as when the archive kept
+        the audit slice inline: the digest is of that output."""
+        directory = str(tmp_path / "store")
+        engine = Engine(store=DurableStore(directory))
+        engine.register_program("p", lambda ctx: 0)
+        d = ProcessDefinition("Flow")
+        d.add_activity(Activity("A", program="p"))
+        engine.register_definition(d)
+        engine.start_process("Flow")
+        engine.run()
+        engine.close()
+        code, text = run_cli("archive-query", directory, "--id", "pi-0001")
+        assert code == 0
+        assert len(json.loads(text)["audit"]) == 6
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "56f238583f2755dab35ae61e1876f0d8774e5e2af0fb1abd87c69cb90bfe922b"
+        )
 
     def test_bad_directory_fails_cleanly(self, tmp_path):
         (tmp_path / "store" / "journal").mkdir(parents=True)

@@ -17,6 +17,7 @@ import pytest
 
 from repro.net import BusLog
 from repro.store import DurableStore
+from repro.store.archive import InstanceArchive
 from repro.wfms import Activity, Engine, MessageBus, ProcessDefinition
 
 
@@ -150,6 +151,40 @@ def test_store_directory_in_the_parent_format_recovers(
         assert engine.execution_order(instance) == ["A", "B", "C"]
     assert engine.start_process("Flow") == "pi-0003"
     engine.close()
+    # The parent's format-1 line now precedes pi-0002's format-2 entry;
+    # the mixed file reopens with both kinds answering.
+    archive = InstanceArchive(tmp_path / "archive.jsonl")
+    assert [archive.by_id(root)["format"] for root in archive.roots()] == [
+        1,
+        2,
+    ]
+    assert archive.audit("pi-0001") == []
+    assert [r["event"] for r in archive.audit("pi-0002")][-1] == (
+        "process_finished"
+    )
+    archive.close()
+
+
+def test_inline_audit_slice_of_a_format_1_entry(tmp_path):
+    inline = [
+        {"activity": "A", "at": 0.0, "detail": {}, "event": "activity_ready",
+         "instance_id": "pi-0001", "sequence": 1},
+    ]
+    line = json.loads(STORE_ARCHIVE)
+    line["audit"] = inline
+    path = tmp_path / "archive.jsonl"
+    path.write_text(json.dumps(line, sort_keys=True) + "\n")
+    archive = InstanceArchive(path)
+    assert archive.audit("pi-0001") == inline
+    archive.add(
+        {**line, "root": "pi-0002", "instances": {"pi-0002": {}},
+         "audit": inline}
+    )
+    archive.close()
+    reopened = InstanceArchive(path)
+    assert reopened.audit("pi-0001") == reopened.audit("pi-0002") == inline
+    assert "audit" not in reopened.by_id("pi-0002")
+    reopened.close()
 
 
 # -- the broker: two sends snapshotted, then an ack and a send ----------

@@ -161,7 +161,9 @@ def _restore_instance(navigator, saved: dict[str, Any]) -> ProcessInstance:
         parent_activity=saved.get("parent_activity", ""),
         plan=plan,
     )
-    instance.input.load_dict(saved["input"])
+    # Start inputs and forced outputs came from outside the engine:
+    # checked again (see Navigator.start_process).
+    instance.input.assign(saved["input"])
     instance.output.load_dict(saved["output"])
     for name, data in saved["activities"].items():
         ai = instance.activities[name]
@@ -173,7 +175,10 @@ def _restore_instance(navigator, saved: dict[str, Any]) -> ProcessInstance:
         ai.incoming = dict(data["incoming"])
         if data["output"] is not None:
             ai.output = plan.output_container(name)
-            ai.output.load_dict(data["output"])
+            if ai.forced:
+                ai.output.assign(data["output"])
+            else:
+                ai.output.load_dict(data["output"])
         # State last: the setter maintains the owner's live-activity
         # counter, so every other field must already be in place.
         ai.state = ActivityState(data["state"])

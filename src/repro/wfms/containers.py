@@ -5,6 +5,17 @@ from the activity's declarations (§3.2).  Containers are addressed with
 dotted paths (``Order.Total``, ``Items.2`` for array elements) and are
 type-checked on write.  They serialise to plain JSON-able dicts so the
 journal can persist them for forward recovery.
+
+Invariant: **every stored flat (scalar) value already has its declared
+type.**  Every writer coerces — :meth:`Container.set`,
+:meth:`Container.assign` (start inputs and forced outputs, live and on
+replay) and the converts of :meth:`Container.receive` — except
+:meth:`Container.load_dict`, which only restores outputs the engine
+filled itself (program, child and process outputs), from journal
+records and checkpoints of checked containers.  Compiled data flow
+(:class:`repro.wfms.plan.DataFlow`) relies on it to copy same-type
+flat values without re-coercing them, and :meth:`Container.to_dict`
+to copy a flat container with ``dict()``.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from repro.wfms.model import RETURN_CODE
 
 #: Shared declaration of the predefined ``_RC`` member; hoisted so output
 #: containers do not revalidate an identical declaration per construction.
-_RC_DECL = VariableDecl(RETURN_CODE, DataType.LONG)
+RC_DECL = VariableDecl(RETURN_CODE, DataType.LONG)
 
 
 class Container:
@@ -47,7 +58,7 @@ class Container:
         self._values: dict[str, Any] = {}
         self._output = output
         if output:
-            self._decls[RETURN_CODE] = _RC_DECL
+            self._decls[RETURN_CODE] = RC_DECL
             self._values[RETURN_CODE] = 0
         for decl in spec:
             if decl.name in self._decls:
@@ -126,7 +137,12 @@ class Container:
             raise ContainerError("path %r does not address a member" % path)
 
     def resolver(self, path: str) -> Any:
-        """Resolver for :meth:`Condition.evaluate`; None when unknown."""
+        """Resolver for :meth:`Condition.evaluate`; None when unknown.
+
+        A whole member is read from the value dict as stored, without
+        :meth:`get`'s copy: a condition only reads it."""
+        if "." not in path:
+            return self._values.get(path)
         try:
             return self.get(path)
         except ContainerError:
@@ -153,6 +169,20 @@ class Container:
 
     # -- bulk ----------------------------------------------------------
 
+    def receive(self, source: "Container", flow) -> None:
+        """Run a compiled data flow (:class:`repro.wfms.plan.DataFlow`)
+        from ``source`` into self: same-type flat pairs copy the value,
+        widening pairs coerce it, and every other pair (structure, array
+        or dotted path) is ``set(to, source.get(from))``."""
+        values = self._values
+        source_values = source._values
+        for from_name, to_name in flow.copies:
+            values[to_name] = source_values[from_name]
+        for from_name, to_name, coerce in flow.converts:
+            values[to_name] = coerce(source_values[from_name])
+        for from_path, to_path in flow.paths:
+            self.set(to_path, source.get(from_path))
+
     def update_from(
         self, source: "Container", mappings: Iterable[tuple[str, str]]
     ) -> None:
@@ -161,11 +191,26 @@ class Container:
             self.set(to_path, source.get(from_path))
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-able snapshot of all member values."""
+        """JSON-able snapshot of all member values: a plain dict copy
+        when every member is scalar (scalars are immutable), a deep
+        copy otherwise."""
+        if self._flat:
+            return dict(self._values)
         return copy.deepcopy(self._values)
 
+    def assign(self, values: dict[str, Any]) -> None:
+        """Write each declared member of ``values`` through :meth:`set`
+        (type-checked); undeclared names are ignored, as in
+        :meth:`load_dict`.  This is how values from outside the engine
+        (start inputs, forced outputs) enter a container."""
+        for name, value in values.items():
+            if name in self._decls:
+                self.set(name, value)
+
     def load_dict(self, values: dict[str, Any]) -> None:
-        """Restore a snapshot produced by :meth:`to_dict`."""
+        """Restore a snapshot produced by :meth:`to_dict`, unchecked:
+        the snapshot was taken from a container that checked every
+        write."""
         for name, value in values.items():
             if name in self._decls:
                 self._values[name] = copy.deepcopy(value)

@@ -192,6 +192,86 @@ class TypeRegistry:
             )
 
 
+# ---------------------------------------------------------------------------
+# static assignability (compiled data flow, registration checks)
+# ---------------------------------------------------------------------------
+
+
+def _element(decl: VariableDecl) -> VariableDecl:
+    """The declaration of one element of array member ``decl``."""
+    return VariableDecl(decl.name, decl.type)
+
+
+def path_decl(
+    decls: dict[str, VariableDecl], path: str, types: TypeRegistry
+) -> VariableDecl:
+    """The declaration the dotted container ``path`` addresses.
+
+    Mirrors :class:`~repro.wfms.containers.Container` addressing: a
+    digit part indexes an array, a name part selects a structure
+    member.  Raises :class:`DefinitionError` when no container built
+    from ``decls`` could ever hold a value at ``path``.
+    """
+    root, *rest = path.split(".")
+    decl = decls.get(root)
+    if decl is None:
+        raise DefinitionError("unknown member %r" % root)
+    for part in rest:
+        if decl.is_array:
+            if not part.isdigit() or int(part) >= decl.array_size:
+                raise DefinitionError(
+                    "path %r: %r is not an index of %s[%d]"
+                    % (path, part, decl.name, decl.array_size)
+                )
+            decl = _element(decl)
+        elif decl.is_structure:
+            try:
+                decl = types.get(str(decl.type)).member(part)
+            except ContainerError:
+                raise DefinitionError(
+                    "path %r: structure %s has no member %r"
+                    % (path, decl.type, part)
+                ) from None
+        else:
+            raise DefinitionError("path %r descends into a scalar" % path)
+    return decl
+
+
+def assignable(
+    source: VariableDecl,
+    source_types: TypeRegistry,
+    target: VariableDecl,
+    target_types: TypeRegistry,
+) -> bool:
+    """Whether a value held under ``source`` can ever be written under
+    ``target`` (:meth:`DataType.coerce` and structure coercion accept
+    it).  Scalars agree on the same base type or widen LONG -> FLOAT;
+    arrays need the same size and assignable elements; a structure
+    needs every one of its members in the target structure."""
+    if target.is_array or source.is_array:
+        return (
+            source.array_size == target.array_size
+            and assignable(
+                _element(source), source_types, _element(target), target_types
+            )
+        )
+    if target.is_structure or source.is_structure:
+        if not (target.is_structure and source.is_structure):
+            return False
+        into = target_types.get(str(target.type))
+        for member in source_types.get(str(source.type)).members:
+            try:
+                counterpart = into.member(member.name)
+            except ContainerError:
+                return False
+            if not assignable(member, source_types, counterpart, target_types):
+                return False
+        return True
+    return source.type is target.type or (
+        source.type is DataType.LONG and target.type is DataType.FLOAT
+    )
+
+
 def _is_identifier(name: str) -> bool:
     """Container member / structure names: identifiers, underscores ok.
 

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.obs import EngineCrashed, EngineRecovered, resolve_observability
 from repro.wfms.audit import AuditTrail
+from repro.wfms.graph import check_subprocess_boundaries
 from repro.wfms.model import ActivityKind, ProcessDefinition
 from repro.wfms.navigator import Navigator
 from repro.wfms.organization import Organization
@@ -143,8 +144,9 @@ class Engine:
 
     def verify_executable(self, name: str, version: str | None = None) -> None:
         """Semantic check of Figure 5's translator stage: every program
-        the definition references must be registered and every
-        subprocess definition present.
+        the definition references must be registered, every subprocess
+        definition present, and every subprocess boundary type-correct
+        (:func:`~repro.wfms.graph.check_subprocess_boundaries`).
 
         Results are memoized per resolved ``(name, version)`` in the
         definition registry (``start_process`` calls this on every
@@ -180,6 +182,7 @@ class Engine:
                     % (name, sub)
                 )
             self._verify_definition(self._definitions.get(sub), stack)
+        check_subprocess_boundaries(definition, self._definitions.get)
         self._definitions.mark_verified(key)
 
     # -- run-time ----------------------------------------------------------

@@ -4,27 +4,32 @@ The paper's workflow model is "an acyclic directed graph" (§3.2); this
 module enforces that plus referential integrity: connector endpoints
 exist, data connectors map declared members, condition variables are
 resolvable, and embedded blocks validate recursively.
+
+It also type-checks data flow: every data-connector pair and every
+block boundary must compile (:mod:`repro.wfms.plan`), so a path no
+container could hold, or a pair whose types can never agree (STRING
+into LONG, FLOAT into LONG, ...), is a :class:`DefinitionError` at
+registration instead of a ``ContainerError`` when the step runs.
+Subprocess boundaries resolve by name, so
+:func:`check_subprocess_boundaries` runs with the engine's memoized
+``verify_executable`` instead.
 """
 
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
+from typing import Callable
 
 from repro.errors import DefinitionError
 from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
     PROCESS_INPUT,
     PROCESS_OUTPUT,
-    RETURN_CODE,
     Activity,
     ActivityKind,
     ProcessDefinition,
 )
-
-#: Predefined members every output container carries (the program
-#: return code plus the engine-maintained execution-state flag used by
-#: the saga/flexible translations).
-PREDEFINED_OUTPUT_MEMBERS = (RETURN_CODE,)
+from repro.wfms.plan import boundary_flows, connector_flow, declarations
 
 
 def topological_order(definition: ProcessDefinition) -> list[str]:
@@ -58,6 +63,24 @@ def validate_definition(definition: ProcessDefinition) -> None:
         if activity.kind is ActivityKind.BLOCK:
             assert activity.block is not None
             validate_definition(activity.block)
+            boundary_flows(activity, definition.types, activity.block)
+
+
+def check_subprocess_boundaries(
+    definition: ProcessDefinition,
+    resolve: Callable[[str], ProcessDefinition],
+) -> None:
+    """Type-check the boundary of every PROCESS activity of
+    ``definition`` (embedded blocks included) against the definition
+    ``resolve`` returns for its name; raises :class:`DefinitionError`."""
+    for activity in definition.activities.values():
+        if activity.kind is ActivityKind.PROCESS:
+            boundary_flows(
+                activity, definition.types, resolve(activity.subprocess)
+            )
+        elif activity.kind is ActivityKind.BLOCK:
+            assert activity.block is not None
+            check_subprocess_boundaries(activity.block, resolve)
 
 
 def _check_endpoints(definition: ProcessDefinition) -> None:
@@ -88,50 +111,24 @@ def _check_endpoints(definition: ProcessDefinition) -> None:
             )
 
 
-def _member_names(spec: list[VariableDecl], *, output: bool) -> set[str]:
-    names = {decl.name for decl in spec}
-    if output:
-        names.update(PREDEFINED_OUTPUT_MEMBERS)
-    return names
-
-
-def _source_members(definition: ProcessDefinition, source: str) -> set[str]:
-    if source == PROCESS_INPUT:
-        return _member_names(definition.input_spec, output=False)
-    return _member_names(definition.activity(source).output_spec, output=True)
-
-
-def _target_members(definition: ProcessDefinition, target: str) -> set[str]:
-    if target == PROCESS_OUTPUT:
-        # The process output container is itself an output container:
-        # it carries the predefined return code so blocks can expose
-        # one to the enclosing level (Figure 2's RC_FB).
-        return _member_names(definition.output_spec, output=True)
-    return _member_names(definition.activity(target).input_spec, output=False)
-
-
 def _root_member(path: str) -> str:
     """``Order.Total`` -> ``Order`` (structure members check the root)."""
     return path.split(".", 1)[0]
 
 
 def _check_data_connectors(definition: ProcessDefinition) -> None:
+    """Every pair must address members its containers declare and
+    type-check: compiling the connector checks both."""
     for connector in definition.data_connectors:
-        sources = _source_members(definition, connector.source)
-        targets = _target_members(definition, connector.target)
-        for from_path, to_path in connector.mappings:
-            if _root_member(from_path) not in sources:
-                raise DefinitionError(
-                    "process %s: data connector %s -> %s maps unknown "
-                    "source member %r"
-                    % (definition.name, connector.source, connector.target, from_path)
-                )
-            if _root_member(to_path) not in targets:
-                raise DefinitionError(
-                    "process %s: data connector %s -> %s maps unknown "
-                    "target member %r"
-                    % (definition.name, connector.source, connector.target, to_path)
-                )
+        connector_flow(
+            definition, connector.source, connector.target, connector.mappings
+        )
+
+
+def _output_members(activity: Activity) -> set[str]:
+    """Names a condition on ``activity``'s output may read: its
+    members, the predefined ``_RC`` and its ``RC`` alias."""
+    return set(declarations(activity.output_spec, output=True)) | {"RC"}
 
 
 def _check_conditions(definition: ProcessDefinition) -> None:
@@ -140,7 +137,7 @@ def _check_conditions(definition: ProcessDefinition) -> None:
     # container.  (§3.2: "The result of the execution ... can be
     # captured through the return code of the program.")
     for connector in definition.control_connectors:
-        available = _source_members(definition, connector.source) | {"RC"}
+        available = _output_members(definition.activity(connector.source))
         for path in connector.condition.variables():
             if _root_member(path) not in available:
                 raise DefinitionError(
@@ -156,7 +153,7 @@ def _check_conditions(definition: ProcessDefinition) -> None:
                     )
                 )
     for activity in definition.activities.values():
-        available = _member_names(activity.output_spec, output=True) | {"RC"}
+        available = _output_members(activity)
         for path in activity.exit_condition.variables():
             if _root_member(path) not in available:
                 raise DefinitionError(

@@ -140,6 +140,7 @@ class ProcessInstance:
         parent_instance: str = "",
         parent_activity: str = "",
         plan: "NavigationPlan | None" = None,
+        input_container: Container | None = None,
     ):
         self.instance_id = instance_id
         self.definition = definition
@@ -156,7 +157,12 @@ class ProcessInstance:
         #: ActivityInstance.state setter
         self._live = len(definition.activities)
         if plan is not None:
-            self.input = plan.process_input_container()
+            #: ``input_container``: one the navigator already filled
+            self.input = (
+                input_container
+                if input_container is not None
+                else plan.process_input_container()
+            )
             self.output = plan.process_output_container()
             incoming_keys = plan.incoming_keys
             for name, activity in definition.activities.items():

@@ -264,15 +264,6 @@ class ProcessDefinition:
         targets = {c.target for c in self.control_connectors}
         return [name for name in self.activities if name not in targets]
 
-    def input_member_names(self) -> frozenset[str]:
-        """Names declared in the process input container.
-
-        Used by compiled navigation plans to filter the values a parent
-        activity hands to a block/subprocess child without scanning the
-        declaration list per member.
-        """
-        return frozenset(decl.name for decl in self.input_spec)
-
     def data_into(self, target: str) -> list[DataConnector]:
         return [c for c in self.data_connectors if c.target == target]
 

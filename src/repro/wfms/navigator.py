@@ -84,6 +84,7 @@ from repro.obs import (
 )
 from repro.obs.tracing import Span, SpanContext
 from repro.wfms.organization import Organization
+from repro.wfms.plan import NavigationPlan
 from repro.wfms.programs import InvocationContext, ProgramRegistry
 from repro.wfms.worklist import WorklistManager
 
@@ -287,6 +288,13 @@ class Navigator:
         one trace.
         """
         definition = self._definition(definition_name, version)
+        plan = self._definitions.plan_for(definition)
+        container = plan.process_input_container()
+        if input_values:
+            # Type-checked on replay too: a store written before start
+            # inputs were checked may hold a mistyped value, and the
+            # compiled data flow copies flat values unchecked.
+            container.assign(input_values)
         if not instance_id:
             self._sequence += 1
             instance_id = "pi-%04d" % self._sequence
@@ -295,9 +303,9 @@ class Navigator:
         ):
             trace_parent = self._tracer.extract(trace_parent)
         return self._create_instance(
-            definition,
+            plan,
             instance_id,
-            input_values or {},
+            container,
             starter=starter,
             parent_instance="",
             parent_activity="",
@@ -316,9 +324,9 @@ class Navigator:
 
     def _create_instance(
         self,
-        definition: ProcessDefinition,
+        plan: NavigationPlan,
         instance_id: str,
-        input_values: dict[str, Any],
+        input_container: Container,
         *,
         starter: str,
         parent_instance: str,
@@ -329,7 +337,7 @@ class Navigator:
             raise NavigationError(
                 "instance id %r is already in use" % instance_id
             )
-        plan = self._definitions.plan_for(definition)
+        definition = plan.definition
         instance = ProcessInstance(
             instance_id,
             definition,
@@ -337,8 +345,8 @@ class Navigator:
             parent_instance=parent_instance,
             parent_activity=parent_activity,
             plan=plan,
+            input_container=input_container,
         )
-        instance.input.load_dict(input_values)
         self._instances[instance_id] = instance
         self._index_instance(instance)
         span = None
@@ -658,12 +666,14 @@ class Navigator:
                 "cannot force-finish %s from state %s"
                 % (activity, ai.state.value)
             )
+        # A mistyped value raises here, before the activity is touched.
+        output = instance.plan.output_container(ai.name)
+        if output_values:
+            output.assign(output_values)
+        output.return_code = return_code
         ai.attempt += 1
         ai.forced = True
-        ai.output = instance.plan.output_container(ai.name)
-        if output_values:
-            ai.output.load_dict(output_values)
-        ai.output.return_code = return_code
+        ai.output = output
         self._worklists.withdraw(instance_id, activity)
         self._audit.record(
             self.clock,
@@ -740,9 +750,14 @@ class Navigator:
                     span.finish(status="interrupted")
                 return
         if recorded is not None:
-            ai.output = instance.plan.output_container(ai.name)
-            ai.output.load_dict(recorded["output"])
             ai.forced = bool(recorded.get("forced"))
+            ai.output = instance.plan.output_container(ai.name)
+            if ai.forced:
+                # Forced outputs came from outside the engine: checked
+                # again, as start inputs are.
+                ai.output.assign(recorded["output"])
+            else:
+                ai.output.load_dict(recorded["output"])
             self._finish(
                 instance,
                 ai,
@@ -758,10 +773,10 @@ class Navigator:
     ) -> Container:
         plan = instance.plan
         container = plan.input_container(ai.name)
-        for connector in plan.data_into.get(ai.name, ()):
-            if connector.source == PROCESS_INPUT:
+        for flow in plan.data_into.get(ai.name, ()):
+            if flow.source == PROCESS_INPUT:
                 source = instance.input
-            elif connector.source == ai.name:
+            elif flow.source == ai.name:
                 # Loop-carried self connector: feed the previous
                 # attempt's output into this attempt's input.  The
                 # generic branch below would always skip it — a
@@ -773,11 +788,11 @@ class Navigator:
                     continue
                 source = ai.output
             else:
-                source_ai = instance.activity(connector.source)
+                source_ai = instance.activity(flow.source)
                 if not source_ai.executed or source_ai.output is None:
                     continue  # source never ran: leave defaults
                 source = source_ai.output
-            container.update_from(source, connector.mappings)
+            container.receive(source, flow)
         return container
 
     def _run_program(
@@ -946,16 +961,14 @@ class Navigator:
         child_id = "%s/%s@%d" % (instance.instance_id, ai.name, ai.attempt)
         ai.child_instance = child_id
         assert ai.input is not None
-        child_input_names = self._definitions.plan_for(definition).input_names
-        input_values = {
-            name: ai.input.get(name)
-            for name in ai.input.members()
-            if name in child_input_names
-        }
+        child_plan = self._definitions.plan_for(definition)
+        into, __ = instance.plan.boundary(ai.name, child_plan)
+        child_input = child_plan.process_input_container()
+        child_input.receive(ai.input, into)
         self._create_instance(
-            definition,
+            child_plan,
             child_id,
-            input_values,
+            child_input,
             starter=instance.starter,
             parent_instance=instance.instance_id,
             parent_activity=ai.name,
@@ -971,10 +984,9 @@ class Navigator:
                 "child %s finished but parent activity %s is %s"
                 % (child.instance_id, ai.name, ai.state.value)
             )
+        __, out = parent.plan.boundary(ai.name, child.plan)
         ai.output = parent.plan.output_container(ai.name)
-        for name in ai.output.members():
-            if child.output.has(name):
-                ai.output.set(name, child.output.get(name))
+        ai.output.receive(child.output, out)
         self._finish(parent, ai)
 
     # ------------------------------------------------------------------
@@ -1156,8 +1168,8 @@ class Navigator:
     ) -> None:
         if ai.output is None:
             return
-        for connector in instance.plan.output_mappings.get(ai.name, ()):
-            instance.output.update_from(ai.output, connector.mappings)
+        for flow in instance.plan.output_mappings.get(ai.name, ()):
+            instance.output.receive(ai.output, flow)
 
     def _connector_evaluated(
         self, instance: ProcessInstance, source: str, target: str, value: bool

@@ -1,7 +1,12 @@
 """README.md's ``python`` blocks run as written: each one executes in
 a fresh namespace with a fresh working directory, so a block that
-stops matching the API fails here instead of in a reader's shell."""
+stops matching the API fails here instead of in a reader's shell.
 
+A block that prints ends with one ``# -> <line>`` comment per line it
+prints; its captured stdout must be exactly those lines."""
+
+import contextlib
+import io
 import os
 import re
 
@@ -20,6 +25,16 @@ def python_blocks():
 BLOCKS = python_blocks()
 
 
+def expected_stdout(source):
+    """The block's trailing ``# -> `` lines as the stdout they promise,
+    or None when the block promises nothing."""
+    lines = source.rstrip("\n").split("\n")
+    promised = []
+    while lines and lines[-1].startswith("# -> "):
+        promised.insert(0, lines.pop()[len("# -> "):])
+    return "".join(line + "\n" for line in promised) if promised else None
+
+
 def test_readme_has_its_ten_python_blocks():
     assert len(BLOCKS) == 10
 
@@ -29,4 +44,17 @@ def test_readme_has_its_ten_python_blocks():
 )
 def test_readme_block_runs(source, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    exec(compile(source, README, "exec"), {"__name__": "readme"})
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(source, README, "exec"), {"__name__": "readme"})
+    expected = expected_stdout(source)
+    if expected is not None:
+        assert stdout.getvalue() == expected
+
+
+def test_printing_blocks_promise_their_output():
+    """Every block that calls print() at top level ends with its
+    ``# -> `` lines."""
+    for number, source in enumerate(BLOCKS, 1):
+        prints = re.search(r"^print\(", source, re.M)
+        assert not prints or expected_stdout(source) is not None, number

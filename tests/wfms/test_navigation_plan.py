@@ -77,7 +77,6 @@ class TestCompilePlan:
         assert second.return_code == 0
         process_input = plan.process_input_container()
         assert process_input.get("N") == 0
-        assert plan.input_names == frozenset({"N"})
 
 
 class TestPlanCache:

@@ -10,9 +10,10 @@ Two claims, one per test group:
   cadence no matter how long the history is.  The
   record counts are asserted (not eyeballed); the timed variants show
   the same shape in wall-clock.
-* **Compaction throughput.**  ``compact()`` drops segments wholly
-  covered by the checkpoint and sparse-rewrites the straddler; the
-  table reports records retired per second.
+* **Compaction throughput.**  ``compact()`` retires the sealed
+  segments wholly covered by the oldest retained checkpoint, whole
+  (it never rewrites one); the table reports records retired per
+  second.
 """
 
 import shutil

@@ -314,10 +314,5 @@ class FlowContext:
 
     # -- state for the driver --------------------------------------------
 
-    @property
-    def step_count(self) -> int:
-        """function_ids consumed so far this attempt."""
-        return self._fid
-
     def journal_text(self) -> str:
         return canon({"s": self._steps, "scope": self._scope_handle})

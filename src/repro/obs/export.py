@@ -13,15 +13,6 @@ import os
 from typing import Any
 
 
-def metrics_snapshot(metrics) -> list[dict[str, Any]]:
-    """``registry.collect()`` (kept as a function for symmetry)."""
-    return metrics.collect()
-
-
-def spans_snapshot(tracer) -> list[dict[str, Any]]:
-    return tracer.export()
-
-
 def engine_snapshot(engine) -> dict[str, Any]:
     """Everything the monitor needs about one engine, as plain data."""
     obs = engine.obs

@@ -66,26 +66,6 @@ def _tree_ids(navigator, root_id: str) -> list[str]:
     return ordered
 
 
-def _deep_order(navigator, instance) -> list[str]:
-    """Activities in termination order, descending into blocks and
-    subprocesses — mirrors ``Engine.execution_order`` while the
-    subtree is still live."""
-    order: list[str] = []
-    for name in navigator._audit.execution_order(instance.instance_id):
-        ai = instance.activities.get(name)
-        if ai is not None and ai.activity.kind in (
-            ActivityKind.BLOCK,
-            ActivityKind.PROCESS,
-        ):
-            if ai.child_instance:
-                child = navigator._instances.get(ai.child_instance)
-                if child is not None:
-                    order.extend(_deep_order(navigator, child))
-        else:
-            order.append(name)
-    return order
-
-
 def build_archive_entry(navigator, instance) -> dict[str, Any]:
     """The archive entry for a finished root instance (built while the
     subtree and its audit records are still in live memory), with its
@@ -115,7 +95,7 @@ def build_archive_entry(navigator, instance) -> dict[str, Any]:
             "rc": member.output.return_code,
             "output": member.output.to_dict(),
             "execution_order": audit.execution_order(instance_id),
-            "order": _deep_order(navigator, member),
+            "order": navigator.deep_execution_order(member),
             "dead_activities": audit.dead_activities(instance_id),
         }
     return {
@@ -126,7 +106,7 @@ def build_archive_entry(navigator, instance) -> dict[str, Any]:
         "finished_at": navigator.clock,
         "rc": instance.output.return_code,
         "output": instance.output.to_dict(),
-        "order": _deep_order(navigator, instance),
+        "order": navigator.deep_execution_order(instance),
         "instances": instances,
         "audit": audit.export_instances(tree),
     }
@@ -276,7 +256,7 @@ class InstanceArchive:
 
     def ids(self) -> frozenset:
         """Every archived instance id — roots *and* descendants (the
-        replay cursor's skip set and compaction's drop set)."""
+        replay cursor's skip set)."""
         return frozenset(self._root_of)
 
     def roots(self) -> list[str]:

@@ -10,7 +10,9 @@ and the one checkpoint protocol (DESIGN.md §11):
 
 1. ``journal.flush()`` — the covered offset is durable *before* a
    snapshot claims to cover it;
-2. ``journal.rotate()`` — the offset becomes a segment boundary;
+2. ``journal.rotate()`` — the offset becomes a segment boundary, so
+   every compaction floor is one too and compaction only ever
+   retires whole sealed segments;
 3. atomic, checksummed write of the snapshot;
 4. re-load and verify it — an unverifiable checkpoint raises and
    nothing below it is reclaimed;
@@ -29,7 +31,7 @@ from __future__ import annotations
 import os
 import re
 from contextlib import suppress
-from typing import Any, Iterable
+from typing import Any
 
 from repro.errors import RecoveryError
 from repro.store.segments import SegmentedJournal
@@ -108,19 +110,10 @@ class CheckpointedLog:
     # -- the protocol --------------------------------------------------
 
     def checkpoint(
-        self,
-        state: dict[str, Any],
-        *,
-        drop_instances: Iterable[str] = (),
-        compact: bool = True,
+        self, state: dict[str, Any], *, compact: bool = True
     ) -> int:
         """Make ``state`` the newest durable checkpoint (module
-        docstring, steps 1-6); returns the offset it covers.
-
-        ``drop_instances`` are the instance ids whose records the
-        straddling-segment rewrite may discard (the engine's archived
-        set; the broker has none).
-        """
+        docstring, steps 1-6); returns the offset it covers."""
         journal = self.journal
         journal.flush()
         journal.rotate()
@@ -136,18 +129,13 @@ class CheckpointedLog:
             with suppress(OSError):
                 os.unlink(self.checkpoint_path(retired))
         if compact:
-            self.journal.compact(
-                offsets[-self._keep_checkpoints :][0],
-                drop_instances=drop_instances,
-            )
+            journal.compact(offsets[-self._keep_checkpoints :][0])
         return offset
 
-    def compact(self, drop_instances: Iterable[str] = ()) -> dict[str, Any]:
+    def compact(self) -> dict[str, Any]:
         """Compact outside a checkpoint (the operator CLI).  Refuses
         unless some checkpoint verifies: with none, recovery needs the
         journal from its start."""
         if self.latest()[0] is None:
             raise RecoveryError("no durable checkpoint to compact against")
-        return self.journal.compact(
-            self.checkpoint_offsets()[0], drop_instances=drop_instances
-        )
+        return self.journal.compact(self.checkpoint_offsets()[0])

@@ -21,10 +21,10 @@ retained snapshot) are a :class:`~repro.store.checkpointed.
 CheckpointedLog`, shared with the broker's bus log.  What this class
 adds is the engine's side: *what* a snapshot holds
 (:func:`~repro.store.snapshot.capture_state`), *when* one is due (the
-``checkpoint_every`` policy), the finished-instance archive — whose
-ids are the compaction drop set, and which is therefore fsynced
-*before* a snapshot that omits its instances is written — and the
-``wfms_store_*`` instruments.
+``checkpoint_every`` policy), the finished-instance archive — the only
+copy of what a snapshot omits once compaction retires the segments
+behind it, and therefore fsynced *before* that snapshot is written —
+and the ``wfms_store_*`` instruments.
 
 A store instance is single-use: :meth:`attach` binds it to one
 engine's obs/injector handles, mirroring how a fresh :class:`Engine`
@@ -237,9 +237,7 @@ class DurableStore:
             self._archive.flush()
             state = capture_state(navigator, journal.next_index)
             offset = log.checkpoint(
-                state,
-                drop_instances=self._archive.ids(),
-                compact=self._compact_on_checkpoint,
+                state, compact=self._compact_on_checkpoint
             )
         finally:
             elapsed = time.perf_counter() - started
@@ -265,7 +263,7 @@ class DurableStore:
         """Drop journal history below the oldest retained checkpoint —
         what every checkpoint does online, on demand (operator CLI)."""
         self._require_attached()
-        stats = self._log.compact(self._archive.ids())
+        stats = self._log.compact()
         if self._obs_on:
             self._c_compactions.inc()
             self._g_segments.set(self.journal.segments_live)

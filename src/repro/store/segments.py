@@ -11,17 +11,18 @@ backing storage is a *directory*:
 * ``MANIFEST.json`` — the directory's source of truth: segment order,
   each sealed segment's record count and first global record index.
   The manifest is only ever replaced atomically (temp + rename +
-  directory fsync) and *always last*: rotation and compaction first
-  make the new segment files durable, then commit the manifest.  A
-  crash between the two leaves the old manifest naming the old files
-  — fully consistent — plus at most an orphan file the next
-  compaction ignores.
+  directory fsync) and *always last*: rotation first makes the sealed
+  file durable, then commits the manifest; compaction commits the
+  manifest before it unlinks the files it retires.  A crash between
+  the two leaves a manifest naming intact files — fully consistent —
+  plus at most an unnamed file nothing reads.
 
 Every record carries a **global index** (0-based append order across
-the directory's lifetime).  Dense segments store indices implicitly
-(``first`` + line number); a segment rewritten by :meth:`compact`
-becomes *sparse* and stores ``{"i": index, "r": record}`` rows, since
-compaction punches holes in the sequence.
+the directory's lifetime).  Segments store indices implicitly
+(``first`` + line number).  Earlier versions of :meth:`compact` also
+wrote *sparse* segments of ``{"i": index, "r": record}`` rows (holes in
+the sequence); such a directory still loads, and its sparse segment is
+retired whole like any other.
 
 *When* an appended record becomes durable is governed by the ``sync``
 policy:
@@ -49,12 +50,11 @@ constructor data: ``record_types`` (the legal ``type`` values) and
 consults ``journal.append``/``journal.fsync``, the broker's bus log
 ``buslog.append``/``buslog.fsync``).
 
-:meth:`compact` takes the latest durable checkpoint's covered offset:
-sealed segments whose records all precede the offset are dropped
-outright, and the single sealed segment straddling the offset is
-rewritten keeping only records past the offset that belong to
-unfinished (non-archived) instances.  The active segment is never
-touched.
+:meth:`compact` takes a durable checkpoint's covered offset and
+retires the sealed segments whose records all precede it, whole: it
+never rewrites a segment and never reads a record's fields, so the
+engine journal and the broker's bus log compact alike.  The active
+segment is never touched.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from repro.wfms.journal import RECORD_TYPES, read_json_lines, trim_torn_tail
 MANIFEST_FORMAT = 1
 MANIFEST_NAME = "MANIFEST.json"
 SEGMENT_TEMPLATE = "segment-%08d.jsonl"
-COMPACTED_TEMPLATE = "segment-%08d.c%d.jsonl"
 
 #: Legal values for the ``sync`` policy.
 SYNC_POLICIES = ("always", "batch", "never")
@@ -133,7 +132,7 @@ class SegmentedJournal:
         self._segment_max_records = segment_max_records
         #: records in append order, and each one's global index
         #: (parallel lists; indices strictly increase, with holes
-        #: after compaction).
+        #: only in a sparse segment an earlier version wrote).
         self._memory: list[dict[str, Any]] = []
         self._indices: list[int] = []
         self._next_index = 0
@@ -519,147 +518,57 @@ class SegmentedJournal:
     # compaction
     # ------------------------------------------------------------------
 
-    def compact(
-        self,
-        offset: int,
-        *,
-        drop_instances: Iterable[str] = (),
-    ) -> dict[str, Any]:
+    def compact(self, offset: int) -> dict[str, Any]:
         """Drop journal history covered by a durable checkpoint.
 
         ``offset`` is the checkpoint's covered offset — every record
         with a smaller index is reconstructible from the snapshot.
-        Sealed segments wholly below the offset are dropped; the one
-        sealed segment straddling it is rewritten (sparse) keeping
-        only records past the offset whose instance is not in
-        ``drop_instances`` (the archive's finished set — the replay
-        cursor skips their records anyway).
+        Sealed segments wholly below the offset are dropped; a segment
+        the offset falls inside is kept whole (a checkpoint rotates
+        before it takes its offset, so online that never happens).
+        The active segment is never touched.
 
-        Crash-safety: the rewritten file is written and fsynced under
-        a fresh generation name, the ``compact`` injector site is
-        consulted, and only then is the manifest committed.  Any crash
-        before the commit leaves the previous manifest and files fully
-        intact (plus an ignored orphan file); the old files are
-        unlinked best-effort only after the commit.
+        Crash-safety: the ``compact`` injector site is consulted
+        before the manifest commit, and the dropped files are unlinked
+        best-effort only after it.  A crash before the commit leaves
+        the previous manifest and files intact.
         """
-        dropped = set(drop_instances)
         removed: list[dict[str, Any]] = []
         survivors = list(self._segments)
-        while (
-            len(survivors) > 1
-            and survivors[0]["count"] is not None
-            and self._segment_end(survivors[0]) <= offset
-        ):
+        while len(survivors) > 1 and self._segment_end(survivors[0]) <= offset:
             removed.append(survivors.pop(0))
-        head = survivors[0]
-        rewrite = (
-            head["count"] is not None
-            and head["first"] < offset < self._segment_end(head)
-        )
         stats = {
             "offset": int(offset),
             "segments_dropped": len(removed),
             "records_dropped": sum(e["count"] for e in removed),
-            "rewritten": rewrite,
         }
-        new_entry = None
-        kept_indices: set[int] = set()
-        rewrite_range: tuple[int, int] | None = None
-        if rewrite:
-            rewrite_range = (int(head["first"]), self._segment_end(head))
-            new_entry, rows = self._rewrite_segment(head, offset, dropped)
-            kept_indices = {index for index, __ in rows}
-            stats["records_dropped"] += head["count"] - len(rows)
         if self._injector is not None:
-            # An injected compaction failure models a crash after the
-            # rewrite but before the manifest commit.
+            # An injected compaction failure models a crash before the
+            # manifest commit.
             self._injector.on_store(
                 "compact", os.path.basename(self._directory)
             )
-        if not removed and not rewrite:
-            stats["segments_live"] = len(self._segments)
-            return stats
-        old_head_file = head["file"] if rewrite else None
-        if rewrite:
-            if new_entry is None:
-                # Nothing in the straddler survived: the segment goes
-                # away entirely rather than becoming an empty file.
-                survivors.pop(0)
-            else:
-                survivors[0] = new_entry
-        self._segments = survivors
-        self._compactions += 1
-        self._write_manifest()
-        for entry in removed:
-            self._unlink_quiet(self._segment_path(entry))
-        if old_head_file is not None:
-            self._unlink_quiet(os.path.join(self._directory, old_head_file))
-        # Mirror the on-disk drop in the parallel memory lists, so
-        # resident size is bounded by live history too.
-        floor = int(self._segments[0]["first"])
-        indices: list[int] = []
-        memory: list[dict[str, Any]] = []
-        for index, record in zip(self._indices, self._memory):
-            if index < floor:
-                continue
-            if (
-                rewrite_range is not None
-                and rewrite_range[0] <= index < rewrite_range[1]
-                and index not in kept_indices
-            ):
-                continue
-            indices.append(index)
-            memory.append(record)
-        self._indices = indices
-        self._memory = memory
+        if removed:
+            self._segments = survivors
+            self._compactions += 1
+            self._write_manifest()
+            for entry in removed:
+                self._unlink_quiet(self._segment_path(entry))
+            # Mirror the on-disk drop in memory, so resident size is
+            # bounded by live history too.
+            floor = bisect_left(self._indices, survivors[0]["first"])
+            del self._indices[:floor]
+            del self._memory[:floor]
         stats["segments_live"] = len(self._segments)
         return stats
 
     @staticmethod
     def _segment_end(entry: dict[str, Any]) -> int:
-        """One past the highest global index a sealed segment may hold."""
+        """One past the highest global index a sealed segment may hold
+        (a sparse segment, written by earlier versions, names it)."""
         if entry.get("sparse"):
             return int(entry["last"]) + 1
         return int(entry["first"]) + int(entry["count"])
-
-    def _rewrite_segment(
-        self, entry: dict[str, Any], offset: int, dropped: set[str]
-    ) -> tuple[dict[str, Any] | None, list[tuple[int, dict[str, Any]]]]:
-        """Write the straddling segment's surviving rows to a fresh
-        sparse file; returns (new manifest entry or None, kept rows).
-        No file is written when nothing survives."""
-        lo = bisect_left(self._indices, entry["first"])
-        hi = bisect_left(self._indices, self._segment_end(entry))
-        rows = [
-            (index, record)
-            for index, record in zip(
-                self._indices[lo:hi], self._memory[lo:hi]
-            )
-            if index >= offset and record.get("instance") not in dropped
-        ]
-        if not rows:
-            return None, rows
-        filename = COMPACTED_TEMPLATE % (entry["id"], self._compactions + 1)
-        path = os.path.join(self._directory, filename)
-        with open(path, "w", encoding="utf-8") as handle:
-            for index, record in rows:
-                handle.write(
-                    json.dumps({"i": index, "r": record}, sort_keys=True)
-                )
-                handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        return (
-            {
-                "id": entry["id"],
-                "file": filename,
-                "first": rows[0][0],
-                "last": rows[-1][0],
-                "count": len(rows),
-                "sparse": True,
-            },
-            rows,
-        )
 
     @staticmethod
     def _unlink_quiet(path: str) -> None:

@@ -15,9 +15,8 @@ reports the *replay debt*: how many journal records a recovery would
 replay past the latest valid checkpoint.  ``checkpoint`` validates
 every snapshot file on disk.  ``compact`` drops journal segments
 wholly covered by the oldest retained checkpoint (recovery may have to
-fall back to it) and rewrites the oldest live segment keeping only
-unfinished-instance records — exactly what the engine does online
-after each checkpoint.  ``archive-query``
+fall back to it) — exactly what the engine does online after each
+checkpoint.  ``archive-query``
 answers the monitoring queries (:meth:`by_id`, :meth:`by_definition`,
 :meth:`finished_between`, :meth:`outcomes`) from the archive file.
 """
@@ -150,12 +149,11 @@ def cmd_compact(store: DurableStore, args, out) -> int:
     stats = store.compact()
     print(
         "compacted to offset %d: dropped %d segment(s) / %d record(s), "
-        "rewrote %d, %d live segment(s) remain"
+        "%d live segment(s) remain"
         % (
             stats["offset"],
             stats["segments_dropped"],
             stats["records_dropped"],
-            stats["rewritten"],
             stats["segments_live"],
         ),
         file=out,

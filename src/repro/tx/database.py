@@ -256,10 +256,6 @@ class SimDatabase:
         self._up = True
         return stats
 
-    @property
-    def is_up(self) -> bool:
-        return self._up
-
     # -- internals (used by Transaction and recovery) ----------------------------------
 
     def _get(self, key: str, default: Any) -> Any:

@@ -6,13 +6,12 @@ the reproduction's experiments assert against: the saga guarantee
 (`T1..Tn` or `T1..Tj;Cj..C1`) and the flexible-transaction path
 selection are both checked by reading execution orders off the trail.
 
-The trail keeps two secondary indexes — ``instance_id -> records`` and
-``(instance_id, event) -> records`` — so the query helpers
+The trail is one record list per instance, so the query helpers
 (:meth:`~AuditTrail.records` with an instance filter,
-``execution_order``, ``attempts``, ``count``) scale with the answer,
-not with every record ever written.  Records are appended to the
-indexes in sequence order, so indexed answers are bit-for-bit the
-filtered full scan.
+``execution_order``, ``attempts``, ``count``) scale with that
+instance's history, not with every record ever written, and pruning an
+archived instance is one dict pop.  Records are appended in sequence
+order, so every answer is bit-for-bit the filtered full scan.
 """
 
 from __future__ import annotations
@@ -65,27 +64,18 @@ class AuditRecord:
 class AuditTrail:
     """Append-only in-memory trail with query helpers.
 
-    Sequence numbers come from an explicit monotonic counter (not the
-    list length), so archiving — which *prunes* a finished instance's
-    records after moving them to the durable
+    Records live in one bucket per instance, in sequence order; that
+    bucket is the whole trail.  Sequence numbers come from an explicit
+    monotonic counter, so archiving — which pops a finished instance's
+    bucket after moving it to the durable
     :class:`repro.store.archive.InstanceArchive` — can never reuse a
-    sequence number.  Pruned records are removed from the secondary
-    indexes immediately and from the global list lazily (amortised
-    O(1) per prune): instance-less scans filter them out, and the list
-    is physically compacted once more than half of it is dead.
+    sequence number.  Instance-less queries sort the union of the
+    buckets by sequence; only tests make them.
     """
 
     def __init__(self) -> None:
-        self._records: list[AuditRecord] = []
         self._by_instance: dict[str, list[AuditRecord]] = {}
-        self._by_instance_event: dict[
-            tuple[str, AuditEvent], list[AuditRecord]
-        ] = {}
         self._next_sequence = 0
-        #: instances logically removed from the global list but whose
-        #: records may still sit in it (lazy compaction).
-        self._pruned_ids: set[str] = set()
-        self._pruned_records = 0
 
     def record(
         self,
@@ -103,16 +93,9 @@ class AuditTrail:
         return record
 
     def _append(self, record: AuditRecord) -> None:
-        self._records.append(record)
-        instance_id = record.instance_id
-        bucket = self._by_instance.get(instance_id)
+        bucket = self._by_instance.get(record.instance_id)
         if bucket is None:
-            bucket = self._by_instance[instance_id] = []
-        bucket.append(record)
-        key = (instance_id, record.event)
-        bucket = self._by_instance_event.get(key)
-        if bucket is None:
-            bucket = self._by_instance_event[key] = []
+            bucket = self._by_instance[record.instance_id] = []
         bucket.append(record)
 
     @property
@@ -120,17 +103,10 @@ class AuditTrail:
         return self._next_sequence
 
     def __len__(self) -> int:
-        return len(self._records) - self._pruned_records
+        return sum(len(bucket) for bucket in self._by_instance.values())
 
     def __iter__(self):
-        return iter(self._live_records())
-
-    def _live_records(self) -> list[AuditRecord]:
-        if not self._pruned_ids:
-            return self._records
-        return [
-            r for r in self._records if r.instance_id not in self._pruned_ids
-        ]
+        return iter(self.records())
 
     # -- archiving support (repro.store) --------------------------------
 
@@ -170,22 +146,7 @@ class AuditTrail:
     def prune_instance(self, instance_id: str) -> int:
         """Drop an archived instance's records from live memory;
         returns how many records were pruned."""
-        bucket = self._by_instance.pop(instance_id, None)
-        if not bucket:
-            return 0
-        for event in {record.event for record in bucket}:
-            self._by_instance_event.pop((instance_id, event), None)
-        self._pruned_ids.add(instance_id)
-        self._pruned_records += len(bucket)
-        if self._pruned_records * 2 > len(self._records):
-            self._records = [
-                r
-                for r in self._records
-                if r.instance_id not in self._pruned_ids
-            ]
-            self._pruned_ids.clear()
-            self._pruned_records = 0
-        return len(bucket)
+        return len(self._by_instance.pop(instance_id, ()))
 
     def records(
         self,
@@ -195,36 +156,32 @@ class AuditTrail:
     ) -> list[AuditRecord]:
         """Filtered records in sequence order.
 
-        An ``instance_id`` filter is answered from the secondary
-        indexes (the common monitoring path); only instance-less
-        queries scan the full trail.
+        An ``instance_id`` filter reads that instance's bucket (the
+        common monitoring path); only instance-less queries sort every
+        bucket together.
         """
         if instance_id is not None:
-            if event is not None:
-                source = self._by_instance_event.get(
-                    (instance_id, event), ()
-                )
-            else:
-                source = self._by_instance.get(instance_id, ())
-            if activity is None:
-                return list(source)
-            return [r for r in source if r.activity == activity]
-        out = []
-        for record in self._records:
-            if event is not None and record.event != event:
-                continue
-            if activity is not None and record.activity != activity:
-                continue
-            out.append(record)
-        return out
+            source = self._by_instance.get(instance_id, ())
+        else:
+            source = sorted(
+                (r for bucket in self._by_instance.values() for r in bucket),
+                key=lambda r: r.sequence,
+            )
+        return [
+            r
+            for r in source
+            if (event is None or r.event == event)
+            and (activity is None or r.activity == activity)
+        ]
 
     def count(
         self, instance_id: str, event: AuditEvent | None = None
     ) -> int:
-        """Number of records for an instance — O(1), no list built."""
-        if event is not None:
-            return len(self._by_instance_event.get((instance_id, event), ()))
-        return len(self._by_instance.get(instance_id, ()))
+        """Number of records for an instance."""
+        bucket = self._by_instance.get(instance_id, ())
+        if event is None:
+            return len(bucket)
+        return sum(1 for r in bucket if r.event == event)
 
     def execution_order(self, instance_id: str) -> list[str]:
         """Activity names in the order they *terminated* (completed

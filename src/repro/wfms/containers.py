@@ -199,13 +199,15 @@ class Container:
         return copy.deepcopy(self._values)
 
     def assign(self, values: dict[str, Any]) -> None:
-        """Write each declared member of ``values`` through :meth:`set`
-        (type-checked); undeclared names are ignored, as in
-        :meth:`load_dict`.  This is how values from outside the engine
-        (start inputs, forced outputs) enter a container."""
+        """Write each member of ``values`` through :meth:`set`
+        (type-checked); a name the container does not declare raises
+        :class:`ContainerError`, so a misspelt key never leaves its
+        member at the default.  This is how values from outside the
+        engine (start inputs, forced outputs) enter a container."""
         for name, value in values.items():
-            if name in self._decls:
-                self.set(name, value)
+            if name not in self._decls:
+                raise ContainerError("container has no member %r" % name)
+            self.set(name, value)
 
     def load_dict(self, values: dict[str, Any]) -> None:
         """Restore a snapshot produced by :meth:`to_dict`, unchecked:

@@ -28,6 +28,7 @@ from repro.errors import (
 )
 from repro.obs import EngineCrashed, EngineRecovered, resolve_observability
 from repro.wfms.audit import AuditTrail
+from repro.wfms.datatypes import DataType
 from repro.wfms.graph import check_subprocess_boundaries
 from repro.wfms.model import ActivityKind, ProcessDefinition
 from repro.wfms.navigator import Navigator
@@ -105,9 +106,18 @@ class Engine:
         """Validate and register a process template (FDL import step).
 
         Several *versions* of the same process may coexist (§3.2);
-        re-registering the same name+version is an error.
+        re-registering the same name+version is an error.  A
+        store-backed engine refuses a BINARY member: the journal cannot
+        persist one.
         """
         definition.validate()
+        if self._store is not None:
+            where = next(_binary_members(definition), None)
+            if where is not None:
+                raise DefinitionError(
+                    "%s is BINARY, which a store-backed engine cannot "
+                    "persist" % where
+                )
         self._definitions.register(definition)
 
     def definition(
@@ -344,22 +354,7 @@ class Engine:
             return list(record[key])
         if not include_children:
             return self.audit.execution_order(instance_id)
-        order: list[str] = []
-        for name in self.audit.execution_order(instance_id):
-            ai = instance.activities.get(name)
-            if ai is not None and ai.activity.kind in (
-                ActivityKind.BLOCK,
-                ActivityKind.PROCESS,
-            ):
-                if ai.child_instance:
-                    order.extend(
-                        self.execution_order(
-                            ai.child_instance, include_children=True
-                        )
-                    )
-            else:
-                order.append(name)
-        return order
+        return self.navigator.deep_execution_order(instance)
 
     # -- monitoring (§3.3: "monitoring, accounting, ...") ------------------
 
@@ -798,3 +793,26 @@ class ProcessResult:
             self.process,
             self.state,
         )
+
+
+def _binary_members(definition: ProcessDefinition, where: str = ""):
+    """Every BINARY member ``definition`` declares — in the process or
+    an activity container, inside a structure one of them uses, or in
+    a nested block — as ``process/activity.member.path``."""
+    where += definition.name
+    types = definition.types
+
+    def scan(decls, path):
+        for decl in decls:
+            here = "%s.%s" % (path, decl.name)
+            if decl.type is DataType.BINARY:
+                yield here
+            elif decl.is_structure:
+                yield from scan(types.get(str(decl.type)).members, here)
+
+    yield from scan(definition.input_spec + definition.output_spec, where)
+    for activity in definition.activities.values():
+        path = "%s/%s" % (where, activity.name)
+        yield from scan(activity.input_spec + activity.output_spec, path)
+        if activity.block is not None:
+            yield from _binary_members(activity.block, path + "/")

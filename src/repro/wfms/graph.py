@@ -21,7 +21,6 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Callable
 
 from repro.errors import DefinitionError
-from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
     PROCESS_INPUT,
     PROCESS_OUTPUT,
@@ -184,13 +183,3 @@ def reachable_activities(definition: ProcessDefinition) -> set[str]:
 def unreachable_activities(definition: ProcessDefinition) -> set[str]:
     """Activities that can never be scheduled (definition smells)."""
     return set(definition.activities) - reachable_activities(definition)
-
-
-def declared_long(name: str) -> VariableDecl:
-    """Convenience: a LONG member declaration (used by translators)."""
-    return VariableDecl(name, DataType.LONG)
-
-
-def declared_string(name: str) -> VariableDecl:
-    """Convenience: a STRING member declaration (used by translators)."""
-    return VariableDecl(name, DataType.STRING)

@@ -267,9 +267,6 @@ class ProcessDefinition:
     def data_into(self, target: str) -> list[DataConnector]:
         return [c for c in self.data_connectors if c.target == target]
 
-    def data_out_of(self, source: str) -> list[DataConnector]:
-        return [c for c in self.data_connectors if c.source == source]
-
     def subprocess_names(self) -> set[str]:
         """Names of PROCESS activities' definitions (incl. nested blocks)."""
         names: set[str] = set()

@@ -224,6 +224,24 @@ class Navigator:
     def live_instance_count(self) -> int:
         return len(self._instances)
 
+    def deep_execution_order(self, instance: ProcessInstance) -> list[str]:
+        """Activities in termination order, descending into blocks and
+        subprocesses at the point their parent activity terminated
+        (a live instance's subtree is live too)."""
+        order: list[str] = []
+        for name in self._audit.execution_order(instance.instance_id):
+            ai = instance.activities.get(name)
+            if ai is not None and ai.activity.kind in (
+                ActivityKind.BLOCK,
+                ActivityKind.PROCESS,
+            ):
+                child = self._instances.get(ai.child_instance)
+                if child is not None:
+                    order.extend(self.deep_execution_order(child))
+            else:
+                order.append(name)
+        return order
+
     def queue_depths(self) -> dict[str, int]:
         """Scheduler queue sizes (heap slots, including stale ones)."""
         return {"ready": len(self._ready_heap), "delayed": len(self._delayed)}
@@ -925,19 +943,34 @@ class Navigator:
         control (compensation block, alternative path).  The journaled
         completion carries ``escalated`` so replay repeats the
         decision without re-evaluating the exit condition."""
+        ai.output = instance.plan.output_container(ai.name)
+        ai.output.return_code = rc
+        self._record_escalation(instance, ai, reason, rc, error)
+        self._finish(instance, ai, escalated=True)
+
+    def _record_escalation(
+        self,
+        instance: ProcessInstance,
+        ai: ActivityInstance,
+        reason: str,
+        rc: int,
+        error: str | None = None,
+    ) -> None:
+        """The bookkeeping of giving up on an activity: drop its retry
+        and timeout state, audit it, count it and publish it.  A
+        timeout found by the exit-condition check has no ``error``."""
         key = (instance.instance_id, ai.name)
         self._retries.pop(key, None)
         self._started_at.pop(key, None)
-        ai.output = instance.plan.output_container(ai.name)
-        ai.output.return_code = rc
+        detail: dict[str, Any] = {"reason": reason, "rc": rc}
+        if error is not None:
+            detail["error"] = error
         self._audit.record(
             self.clock,
             AuditEvent.ACTIVITY_ESCALATED,
             instance.instance_id,
             ai.name,
-            reason=reason,
-            rc=rc,
-            error=error,
+            **detail,
         )
         if self._obs_on:
             self._c_escalated.labels(reason).inc()
@@ -948,7 +981,6 @@ class Navigator:
                         instance.instance_id, ai.name, reason, rc, self.clock
                     )
                 )
-        self._finish(instance, ai, escalated=True)
 
     def _start_child(
         self, instance: ProcessInstance, ai: ActivityInstance
@@ -1031,36 +1063,17 @@ class Navigator:
                 # rescheduling forever against a dead counterpart.
                 timeout = self._timeouts.get(ai.activity.program)
                 if timeout is not None:
-                    key = (instance.instance_id, ai.name)
-                    started = self._started_at.get(key)
+                    started = self._started_at.get(
+                        (instance.instance_id, ai.name)
+                    )
                     if started is not None and timeout.expired(
                         started, self.clock
                     ):
                         escalated = exit_ok = True
                         ai.output.return_code = timeout.escalate_rc
-                        self._retries.pop(key, None)
-                        self._started_at.pop(key, None)
-                        self._audit.record(
-                            self.clock,
-                            AuditEvent.ACTIVITY_ESCALATED,
-                            instance.instance_id,
-                            ai.name,
-                            reason="timeout",
-                            rc=timeout.escalate_rc,
+                        self._record_escalation(
+                            instance, ai, "timeout", timeout.escalate_rc
                         )
-                        if self._obs_on:
-                            self._c_escalated.labels("timeout").inc()
-                            hooks = self._hooks
-                            if hooks.wants(ActivityEscalated):
-                                hooks.publish(
-                                    ActivityEscalated(
-                                        instance.instance_id,
-                                        ai.name,
-                                        "timeout",
-                                        timeout.escalate_rc,
-                                        self.clock,
-                                    )
-                                )
         if (
             not replayed
             and self._journal is not None

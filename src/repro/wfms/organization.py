@@ -121,9 +121,6 @@ class Organization:
             if role in p.roles and not p.absent
         )
 
-    def manager_of(self, user_id: str) -> str:
-        return self.person(user_id).manager
-
     def chain_of_command(self, user_id: str) -> list[str]:
         """Managers of ``user_id`` from immediate upwards."""
         chain: list[str] = []

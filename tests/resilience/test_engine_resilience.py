@@ -215,6 +215,72 @@ class TestPollTimeout:
         instance = engine.navigator.instance(iid)
         assert instance.activity("A").output.return_code == 9
 
+    def test_both_escalation_paths_keep_their_audit_and_events(self):
+        """The poll timeout (found by the exit-condition check) audits
+        ACTIVITY_FINISHED first and no ``error``; retry exhaustion
+        audits ESCALATED before the finish, with the error.  Both
+        count and publish alike."""
+        obs = Observability()
+        events = []
+        obs.hooks.subscribe(ActivityEscalated, events.append)
+        engine = Engine(observability=obs)
+        engine.register_program("poll", lambda ctx: 0)
+        program, __ = failing_n_times(100)
+        engine.register_program("flaky", program)
+        engine.register_program("nop", lambda ctx: 0)
+        poll = ProcessDefinition("Poll")
+        poll.add_activity(
+            Activity(
+                "A",
+                program="poll",
+                output_spec=[VariableDecl("Done", DataType.LONG)],
+                exit_condition="Done = 1",
+            )
+        )
+        engine.register_definition(poll)
+        engine.register_definition(branching_definition())
+        engine.set_reschedule_delay("poll", 2.0)
+        engine.set_timeout("poll", Timeout(3.0, escalate_rc=9))
+        engine.set_retry(
+            "flaky", RetryPolicy(1, backoff="fixed", escalate_rc=7)
+        )
+        polled = engine.start_process("Poll")
+        engine.drain()
+        retried = engine.start_process("P")
+        engine.drain()
+
+        def tail(iid, activity):
+            rows = [
+                (r.event, list(r.detail.items()))
+                for r in engine.audit.records(iid, activity=activity)
+            ]
+            return rows[-3:]
+
+        assert tail(polled, "A") == [
+            (AuditEvent.ACTIVITY_FINISHED, [("rc", 0), ("attempt", 3)]),
+            (
+                AuditEvent.ACTIVITY_ESCALATED,
+                [("reason", "timeout"), ("rc", 9)],
+            ),
+            (AuditEvent.ACTIVITY_TERMINATED, [("rc", 9)]),
+        ]
+        escalated = engine.audit.records(
+            retried, AuditEvent.ACTIVITY_ESCALATED
+        )
+        assert [list(r.detail) for r in escalated] == [
+            ["reason", "rc", "error"]
+        ]
+        assert escalated[0].detail["reason"] == "retries_exhausted"
+        assert [(e.reason, e.return_code) for e in events] == [
+            ("timeout", 9),
+            ("retries_exhausted", 7),
+        ]
+        counter = obs.metrics.counter(
+            "wfms_activity_escalations_total", labels=("reason",)
+        )
+        assert counter.labels("timeout").value == 1
+        assert counter.labels("retries_exhausted").value == 1
+
 
 class TestObservability:
     def test_retry_and_escalation_events_and_counters(self):

@@ -140,50 +140,98 @@ class TestCompaction:
         assert reloaded.suffix(6)[0] == record(0, "pi-0003")
         reloaded.close()
 
-    def test_straddler_rewritten_sparse(self, tmp_path):
+    def test_straddler_kept_whole(self, tmp_path):
         journal = self.build(tmp_path)
-        # offset 4 straddles the second segment: index 3 is covered,
-        # 4-5 live; pi-0002 is archived so its records drop too
-        stats = journal.compact(4, drop_instances={"pi-0002"})
+        # offset 4 falls inside the second segment (3-5): only the
+        # first segment is wholly covered, the straddler stays as is
+        stats = journal.compact(4)
         assert stats["segments_dropped"] == 1
-        assert stats["rewritten"] == 1
-        # all of segment 2's records were covered or archived
-        assert [r["instance"] for r in journal.records()] == [
-            "pi-0003",
-            "pi-0003",
-            "pi-0003",
-            "pi-0004",
-            "pi-0004",
-        ]
+        assert stats["records_dropped"] == 3
+        assert journal.indices() == list(range(3, 11))
+        assert journal.suffix(4) == journal.records()[1:]
+        assert journal.suffix(4)[0] == record(4, "pi-0002")
+        files = sorted(os.listdir(tmp_path))
+        assert "segment-00000001.jsonl" in files
+        assert not [name for name in files if ".c" in name]
         journal.close()
         reloaded = SegmentedJournal(tmp_path)
         assert reloaded.records() == journal.records()
+        assert reloaded.suffix(4) == journal.suffix(4)
         assert reloaded.next_index == 11
         reloaded.close()
 
     def test_sparse_segment_round_trips(self, tmp_path):
-        journal = self.build(tmp_path)
-        journal.compact(4)  # keeps 4-5 in a sparse rewrite
-        kept = journal.records()
-        assert [r["instance"] for r in kept[:2]] == ["pi-0002", "pi-0002"]
+        """A sparse segment (``{"i", "r"}`` rows, holes in the index
+        sequence), as earlier versions' compaction wrote it, loads,
+        serves suffixes, keeps the global index going, and is retired
+        whole."""
+        (tmp_path / MANIFEST_NAME).write_text(
+            json.dumps(
+                {
+                    "compactions": 1,
+                    "format": 1,
+                    "segments": [
+                        {
+                            "count": 2,
+                            "file": "segment-00000001.c1.jsonl",
+                            "first": 4,
+                            "id": 1,
+                            "last": 5,
+                            "sparse": True,
+                        },
+                        {
+                            "count": None,
+                            "file": "segment-00000002.jsonl",
+                            "first": 6,
+                            "id": 2,
+                            "sparse": False,
+                        },
+                    ],
+                },
+                sort_keys=True,
+            )
+            + "\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "segment-00000001.c1.jsonl").write_text(
+            "".join(
+                json.dumps({"i": n, "r": record(n, "pi-0002")}) + "\n"
+                for n in (4, 5)
+            ),
+            encoding="utf-8",
+        )
+        (tmp_path / "segment-00000002.jsonl").write_text(
+            json.dumps(record(6, "pi-0003")) + "\n", encoding="utf-8"
+        )
+        journal = SegmentedJournal(tmp_path)
+        assert journal.indices() == [4, 5, 6]
+        assert journal.suffix(5) == [
+            record(5, "pi-0002"),
+            record(6, "pi-0003"),
+        ]
+        # appending continues from the same global index
+        journal.append(record(99))
+        assert journal.next_index == 8
+        journal.rotate()
+        stats = journal.compact(6)
+        assert (stats["segments_dropped"], stats["records_dropped"]) == (1, 2)
+        assert journal.indices() == [6, 7]
         journal.close()
         reloaded = SegmentedJournal(tmp_path)
-        assert reloaded.records() == kept
-        assert reloaded.suffix(5)[0] == record(5, "pi-0002")
-        # appending continues from the same global index
-        reloaded.append(record(99))
-        assert reloaded.next_index == 12
+        assert reloaded.records() == [record(6, "pi-0003"), record(99)]
+        assert "segment-00000001.c1.jsonl" not in os.listdir(tmp_path)
         reloaded.close()
 
     def test_compact_is_crash_safe_manifest_last(self, tmp_path):
         """A compaction that dies before the manifest commit leaves the
         old manifest pointing at intact old files: reload sees the
-        pre-compaction journal (plus a harmless orphan rewrite)."""
+        pre-compaction journal, and a file the manifest does not name
+        (here the rewrite an earlier version's aborted compaction
+        left) is ignored."""
         journal = self.build(tmp_path)
         before = journal.records()
         journal.close()
-        # simulate the crash by hand: write the rewrite file an aborted
-        # compaction would have left, but never touch the manifest
+        # never touch the manifest
         orphan = tmp_path / "segment-00000001.c1.jsonl"
         orphan.write_text(
             json.dumps({"i": 4, "r": record(4, "pi-0002")}) + "\n",
@@ -205,7 +253,8 @@ class TestCompaction:
         journal = self.build(tmp_path)
         stats = journal.compact(0)
         assert stats["segments_dropped"] == 0
-        assert stats["rewritten"] == 0
+        assert stats["records_dropped"] == 0
+        assert journal.manifest()["compactions"] == 0
         journal.close()
 
     def test_active_segment_never_compacted(self, tmp_path):

@@ -4,6 +4,8 @@ block/subprocess boundary pairs whose declared types can never agree
 are rejected when the definition is registered (subprocesses: when
 ``verify_executable`` resolves them), not when the step runs."""
 
+import re
+
 import pytest
 
 from repro.errors import ContainerError, DefinitionError
@@ -72,9 +74,24 @@ class TestStartInputs:
         engine.register_definition(
             one_step("P", [VariableDecl("F", DataType.FLOAT)])
         )
-        iid = engine.start_process("P", {"F": 3, "Unknown": "ignored"})
+        iid = engine.start_process("P", {"F": 3})
         container = engine.navigator.instance(iid).input
         assert typed(container.to_dict()) == typed({"F": 3.0})
+        with pytest.raises(ContainerError, match="'Unknown'"):
+            engine.start_process("P", {"F": 3, "Unknown": "rejected"})
+
+    def test_misspelt_start_input_raises_and_leaves_no_instance(self):
+        engine = Engine()
+        engine.register_program("p", lambda ctx: 0)
+        engine.register_definition(
+            one_step("P", [VariableDecl("Total", DataType.LONG)])
+        )
+        with pytest.raises(ContainerError, match="'Totl'"):
+            engine.start_process("P", {"Totl": 5})
+        assert engine.navigator.instances() == []
+        assert engine.process_list() == []
+        # The rejected start consumed no instance id.
+        assert engine.start_process("P", {"Total": 5}) == "pi-0001"
 
     def test_forced_output_is_type_checked(self):
         engine = forced_engine()
@@ -284,3 +301,63 @@ class TestRegistrationChecks:
             for iid in (first, second)
         }
         assert typed(values) == typed({first: {"X": 7.0}, second: {"X": 7}})
+
+
+def binary_definitions():
+    """One definition per place a BINARY member can hide, each named
+    by the path the registration error reports."""
+    top = one_step("Top", [VariableDecl("Blob", DataType.BINARY)])
+    activity = ProcessDefinition("Act")
+    activity.add_activity(
+        Activity(
+            "A",
+            program="p",
+            output_spec=[VariableDecl("Blob", DataType.BINARY)],
+        )
+    )
+    structure = ProcessDefinition("Struct")
+    structure.types.register(
+        StructureType("Inner", [VariableDecl("Raw", DataType.BINARY)])
+    )
+    structure.types.register(
+        StructureType("Outer", [VariableDecl("In", "Inner")])
+    )
+    structure.add_activity(
+        Activity("A", program="p", input_spec=[VariableDecl("O", "Outer")])
+    )
+    block = ProcessDefinition("Inside")
+    block.add_activity(
+        Activity(
+            "I",
+            program="p",
+            input_spec=[VariableDecl("Blob", DataType.BINARY, array_size=2)],
+        )
+    )
+    nested = ProcessDefinition("Nested")
+    nested.add_activity(Activity("B", kind=ActivityKind.BLOCK, block=block))
+    return {
+        "Top.Blob": top,
+        "Act/A.Blob": activity,
+        "Struct/A.O.In.Raw": structure,
+        "Nested/B/Inside/I.Blob": nested,
+    }
+
+
+class TestBinaryOnStore:
+    @pytest.mark.parametrize("where", sorted(binary_definitions()))
+    def test_store_backed_registration_refuses_binary(self, where, tmp_path):
+        engine = Engine(store=DurableStore(tmp_path))
+        engine.register_program("p", lambda ctx: 0)
+        message = re.escape("%s is BINARY" % where)
+        with pytest.raises(DefinitionError, match=message):
+            engine.register_definition(binary_definitions()[where])
+        assert engine.definitions() == []
+        assert engine.navigator.instances() == []
+        engine.close()
+
+    @pytest.mark.parametrize("where", sorted(binary_definitions()))
+    def test_volatile_engine_keeps_binary(self, where):
+        engine = Engine()
+        engine.register_program("p", lambda ctx: 0)
+        engine.register_definition(binary_definitions()[where])
+        assert engine.definitions() != []

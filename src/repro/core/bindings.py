@@ -25,6 +25,7 @@ from repro.tx.subtransaction import Subtransaction
 from repro.core.compblock import (
     NOP_PROGRAM,
     Translation,
+    comp_activity_name,
     compensated_var,
     state_var,
 )
@@ -125,6 +126,13 @@ def workflow_outcome(engine, translation: Translation, instance_id: str):
     order = engine.execution_order(instance_id)
     members = translation.programs
     executed = [m for m in members if output.get(state_var(m)) == 1]
+    # Comp_<m> is a compensation only for a member m that has one; any
+    # other activity may be a member's, e.g. a member named "Comp_x".
+    compensating = {
+        comp_activity_name(m.name): m.name
+        for m in translation.members
+        if m.compensation
+    }
     # A guarded block runs every compensating activity and records in
     # Compensated_<m> whether it compensated; a dead-path block runs
     # only the compensating activities that compensate.
@@ -132,8 +140,8 @@ def workflow_outcome(engine, translation: Translation, instance_id: str):
     last_forward: dict[str, int] = {}
     last_compensation: dict[str, int] = {}
     for index, activity in enumerate(order):
-        if activity.startswith("Comp_"):
-            member = activity[len("Comp_"):]
+        member = compensating.get(activity)
+        if member is not None:
             if output.get(compensated_var(member), 1) == 1:
                 compensated.append(member)
                 last_compensation[member] = index

@@ -35,7 +35,7 @@ from typing import Any
 from repro.errors import SpecificationError
 from repro.tx.subtransaction import Subtransaction, SubtransactionOutcome
 from repro.wfms.conditions import parse_condition
-from repro.wfms.datatypes import DataType, VariableDecl
+from repro.wfms.datatypes import VariableDecl
 from repro.wfms.model import (
     PROCESS_INPUT,
     PROCESS_OUTPUT,
@@ -45,12 +45,15 @@ from repro.wfms.model import (
     StartCondition,
 )
 from repro.core.compblock import (
+    GUARDED,
     NOP_PROGRAM,
     Translation,
+    build_compensation_block,
+    chain,
     compensated_var,
+    longs,
     state_var,
 )
-from repro.core.parallel_saga import guarded_compensation_block
 from repro.core.saga_translator import SAGA_ABORT_RC, SAGA_COMMIT_RC
 
 
@@ -198,33 +201,26 @@ def translate_contract(
     and aborts to the compensation block.
     """
     context_decls = list(spec.context)
-    state_decls = [
-        VariableDecl(state_var(step.name), DataType.LONG)
-        for step in spec.steps
-    ]
-    flags = [compensated_var(step.name) for step in spec.steps]
-    flag_decls = [VariableDecl(f, DataType.LONG) for f in flags]
+    members = GUARDED.members(spec.steps, "contract step")
+    states = [state_var(member.name) for member in members]
+    flags = [compensated_var(member.name) for member in members]
     process = ProcessDefinition(
         "Contract_%s" % spec.name,
         description="ConTract-lite translation of %r" % spec.name,
         input_spec=context_decls,
-        output_spec=[VariableDecl("Committed", DataType.LONG)]
-        + list(state_decls)
-        + flag_decls,
+        output_spec=longs(["Committed"] + states + flags),
     )
-    required = {NOP_PROGRAM: "null activity"}
-
     # Reverse-chain guarded compensation (skipped/never-run steps have
     # State 0 and their guards pass through).
-    names = [s.name for s in spec.steps]
-    comp_block = guarded_compensation_block(
+    comp_block = build_compensation_block(
         "Backward_%s" % spec.name,
-        "backward recovery of contract %s" % spec.name,
-        spec.steps,
-        list(zip(names, names[1:])),
-        max_compensation_attempts,
+        members,
+        chain(members),
+        GUARDED,
+        commit_rc=SAGA_COMMIT_RC,
+        max_attempts=max_compensation_attempts,
+        description="backward recovery of contract %s" % spec.name,
     )
-    states = [state_var(name) for name in names]
 
     def eval_name(index: int) -> str:
         return "Eval_%s" % spec.steps[index].name
@@ -234,15 +230,14 @@ def translate_contract(
         Activity(
             "Done",
             program="contract_done",
-            output_spec=[VariableDecl("Committed", DataType.LONG)],
+            output_spec=longs(["Committed"]),
             start_condition=StartCondition.ANY,
             description="contract completed",
         )
     )
-    required["contract_done"] = "marks the contract committed"
 
     failure_edges: list[tuple[str, str]] = []
-    for index, step in enumerate(spec.steps):
+    for index, (step, member) in enumerate(zip(spec.steps, members)):
         evaluator = eval_name(index)
         process.add_activity(
             Activity(
@@ -263,9 +258,9 @@ def translate_contract(
         process.add_activity(
             Activity(
                 step.name,
-                program=step.program,
-                output_spec=[VariableDecl("State", DataType.LONG)],
-                description="contract step %s" % step.name,
+                program=member.program,
+                output_spec=longs(["State"]),
+                description=member.description,
             )
         )
         process.map_data(
@@ -285,18 +280,14 @@ def translate_contract(
                 process.connect(evaluator, next_target, complement)
         process.connect(step.name, next_target, "RC = %d" % SAGA_COMMIT_RC)
         failure_edges.append((step.name, "RC <> %d" % SAGA_COMMIT_RC))
-        required[step.program] = "contract step %s" % step.name
-        required["g" + step.compensation_program] = (
-            "guarded compensation of %s" % step.name
-        )
 
     process.add_activity(
         Activity(
             "Backward",
             kind=ActivityKind.BLOCK,
             block=comp_block,
-            input_spec=[VariableDecl(s, DataType.LONG) for s in states],
-            output_spec=[VariableDecl("Done", DataType.LONG)] + flag_decls,
+            input_spec=longs(states),
+            output_spec=longs(["Done"] + flags),
             start_condition=StartCondition.ANY,
             description="backward recovery (guarded compensation)",
         )
@@ -313,14 +304,11 @@ def translate_contract(
     return Translation(
         spec,
         process,
-        required,
         SAGA_COMMIT_RC,
         SAGA_ABORT_RC,
         ContractOutcome,
-        programs={step.name: step.program for step in spec.steps},
-        compensation_programs={
-            step.name: "g" + step.compensation_program for step in spec.steps
-        },
+        members,
+        GUARDED,
         done_program="contract_done",
         # A critical step whose invariant fails is the failed step, not
         # a skipped one.

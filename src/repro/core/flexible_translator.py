@@ -15,29 +15,32 @@ alternative-path tree:
    "repeated until the subtransaction commits"; they emit no failure
    connector.
 5. + 6. Each tree node owns one *compensation block* covering the
-   compensatable members of its segment (built by
-   :mod:`repro.core.compblock`); the members' ``State`` flags flow into
-   the block through data connectors.
+   compensatable members of its segment: the translation kit's
+   (:mod:`repro.core.compblock`) dead-path block over those members;
+   the members' ``State`` flags flow into the block through data
+   connectors.
 6. The compensation block's start condition is OR over the node's
    failure connectors, so any failure within the segment (or the
    exhaustion of the node's alternatives) triggers it.
 7. Path switching "as a linear succession of events by taking advantage
    of the dead path elimination": after a node's compensation block
-   terminates, control flows to the next alternative's entry activity;
-   when the last alternative of a branch fails, control flows to the
-   *parent* node's compensation block instead, cascading the failure
-   upwards.  Branches never taken are eliminated as dead paths, so the
-   process always runs to completion.
+   terminates, control flows unconditionally (the block always
+   completes) to the next alternative's entry activity; when the last
+   alternative of a branch fails, control flows to the *parent* node's
+   compensation block instead, cascading the failure upwards.
+   Branches never taken are eliminated as dead paths, so the process
+   always runs to completion.
 
 A node that cannot fail (all members retriable, or its first
 alternative cannot fail) makes later alternatives unreachable; the
-translator prunes them and records a note.
+translator prunes them and records a note.  The translation's members
+are the members of the alternatives kept, in the order their first
+activity is built; a member on two alternatives is one member with two
+activities.
 """
 
 from __future__ import annotations
 
-from repro.errors import TranslationError
-from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
     PROCESS_OUTPUT,
     Activity,
@@ -46,9 +49,12 @@ from repro.wfms.model import (
     StartCondition,
 )
 from repro.core.compblock import (
-    NOP_PROGRAM,
+    DEAD_PATH,
+    Member,
     Translation,
     build_compensation_block,
+    chain,
+    longs,
     state_var,
 )
 from repro.core.flexible import FlexibleOutcome, FlexibleSpec, PathTree
@@ -56,6 +62,7 @@ from repro.core.flexible import FlexibleOutcome, FlexibleSpec, PathTree
 #: RC convention of §4.2: 1 = committed, 0 = aborted.
 FLEX_COMMIT_RC = 1
 FLEX_ABORT_RC = 0
+COMMITTED = "RC = %d" % FLEX_COMMIT_RC
 
 
 def comp_block_activity(node_id: str) -> str:
@@ -70,24 +77,23 @@ def translate_flexible(
     process = ProcessDefinition(
         "Flexible_%s" % spec.name,
         description="§4.2 translation of flexible transaction %r" % spec.name,
-        output_spec=[VariableDecl("Committed", DataType.LONG)]
-        + [
-            VariableDecl(state_var(name), DataType.LONG)
-            for name in sorted(spec.members)
-        ],
+        output_spec=longs(
+            ["Committed"] + [state_var(name) for name in sorted(spec.members)]
+        ),
     )
-    translation = Translation(
+    builder = _Builder(spec, process, max_retries)
+    builder.build(spec.tree(), node_id="n", entry=None, failure_parent=None)
+    process.validate()
+    return Translation(
         spec,
         process,
-        {NOP_PROGRAM: "null activity (compensation trigger)"},
         FLEX_COMMIT_RC,
         FLEX_ABORT_RC,
         FlexibleOutcome,
+        list(builder.members.values()),
+        DEAD_PATH,
+        notes=builder.notes,
     )
-    builder = _Builder(spec, process, translation, max_retries)
-    builder.build(spec.tree(), node_id="n", entry=None, failure_parent=None)
-    process.validate()
-    return translation
 
 
 class _Builder:
@@ -95,13 +101,14 @@ class _Builder:
         self,
         spec: FlexibleSpec,
         process: ProcessDefinition,
-        translation: Translation,
         max_retries: int,
     ):
         self.spec = spec
         self.process = process
-        self.translation = translation
         self.max_retries = max_retries
+        #: Members in the order their first activity was added.
+        self.members: dict[str, Member] = {}
+        self.notes: list[str] = []
 
     # -- failure analysis ---------------------------------------------------
 
@@ -121,13 +128,15 @@ class _Builder:
         self,
         node: PathTree,
         node_id: str,
-        entry: str | None,
+        entry: tuple[str, str] | None,
         failure_parent: str | None,
     ) -> None:
         """Build ``node``'s activities into the process.
 
-        ``entry`` is the upstream activity whose commit (``RC = 1``)
-        starts this node (None for the process start).
+        ``entry`` is the upstream activity that starts this node and
+        the condition on its connector (None for the process start):
+        a member's commit (``RC = 1``), or the previous alternative's
+        compensation block, which always completes (``TRUE``).
         ``failure_parent`` is the compensation-block activity of the
         enclosing node to cascade into when this node's alternatives
         are exhausted (None at the root: total failure just ends the
@@ -136,19 +145,17 @@ class _Builder:
         failure_sources: list[tuple[str, str]] = []  # (activity, condition)
         segment_activities: list[tuple[str, str]] = []  # (member, activity)
         previous = entry
-        previous_condition = "RC = %d" % FLEX_COMMIT_RC
         for name in node.segment:
-            member = self.spec.member(name)
             activity_name = self._add_member_activity(name, node_id)
             segment_activities.append((name, activity_name))
             if previous is not None:
-                self.process.connect(previous, activity_name, previous_condition)
-            if not member.retriable:
+                source, condition = previous
+                self.process.connect(source, activity_name, condition)
+            if not self.spec.member(name).retriable:
                 failure_sources.append(
                     (activity_name, "RC = %d" % FLEX_ABORT_RC)
                 )
-            previous = activity_name
-            previous_condition = "RC = %d" % FLEX_COMMIT_RC
+            previous = (activity_name, COMMITTED)
 
         children = self._prune_children(node, node_id)
         # A compensation block is built only when something can trigger
@@ -164,26 +171,16 @@ class _Builder:
         # compensation block); only the *last* alternative cascades
         # into this node's own compensation block.
         for index, child in enumerate(children):
-            child_id = "%s_%d" % (node_id, index + 1)
-            if index == 0:
-                child_entry = previous  # enter on segment commit
-            else:
+            if index > 0:
                 # Entered after the previous alternative's compensation
                 # block terminates.
-                child_entry = comp_block_activity(
-                    "%s_%d" % (node_id, index)
-                )
-            is_last = index == len(children) - 1
+                previous = (comp_block_activity("%s_%d" % (node_id, index)), "TRUE")
             self.build(
                 child,
-                child_id,
-                entry=child_entry,
-                failure_parent=comp_name if is_last else None,
+                "%s_%d" % (node_id, index + 1),
+                entry=previous,
+                failure_parent=comp_name if index == len(children) - 1 else None,
             )
-            if index > 0:
-                # The entry condition from a compensation block is
-                # unconditional (the block always completes).
-                self._relax_entry_condition(child_entry)
 
         if comp_needed:
             self._add_comp_block(
@@ -213,7 +210,7 @@ class _Builder:
                     for sibling in children[index + 1:]
                     for p in sibling.paths()
                 ]
-                self.translation.notes.append(
+                self.notes.append(
                     "node %s: alternative(s) %s are unreachable (the "
                     "preferred alternative cannot fail) and were pruned"
                     % (node_id, dropped)
@@ -225,37 +222,35 @@ class _Builder:
         """Add the activity for member ``name``; returns its activity
         name (qualified with the node id when the same member appears
         in a sibling alternative)."""
-        member = self.spec.member(name)
+        spec_member = self.spec.member(name)
+        member = self.members.setdefault(
+            name,
+            Member(
+                name,
+                "%s subtransaction" % spec_member.kind,
+                spec_member.program,
+                spec_member.compensation_program
+                if spec_member.compensatable
+                else "",
+            ),
+        )
         activity_name = name
         if activity_name in self.process.activities:
             activity_name = "%s__%s" % (name, node_id)
-        exit_condition = (
-            "RC = %d" % FLEX_COMMIT_RC if member.retriable else "TRUE"
-        )
+        retriable = spec_member.retriable
         self.process.add_activity(
             Activity(
                 activity_name,
                 program=member.program,
-                output_spec=[VariableDecl("State", DataType.LONG)],
-                exit_condition=exit_condition,
-                max_iterations=self.max_retries if member.retriable else 0,
-                description="%s subtransaction %s" % (member.kind, name),
+                output_spec=longs(["State"]),
+                exit_condition=COMMITTED if retriable else "TRUE",
+                max_iterations=self.max_retries if retriable else 0,
+                description=member.description,
             )
         )
         self.process.map_data(
             activity_name, PROCESS_OUTPUT, [("State", state_var(name))]
         )
-        self.translation.programs[name] = member.program
-        self.translation.required_programs[member.program] = (
-            "%s subtransaction %s" % (member.kind, name)
-        )
-        if member.compensatable:
-            self.translation.compensation_programs[name] = (
-                member.compensation_program
-            )
-            self.translation.required_programs[member.compensation_program] = (
-                "compensation of %s" % name
-            )
         return activity_name
 
     def _add_comp_block(
@@ -264,27 +259,28 @@ class _Builder:
         segment_activities: list[tuple[str, str]],
         failure_sources: list[tuple[str, str]],
     ) -> None:
-        items = [
-            (member, self.spec.member(member).compensation_program)
-            for member, __ in segment_activities
-            if self.spec.member(member).compensatable
+        members = [
+            self.members[name]
+            for name, __ in segment_activities
+            if self.members[name].compensation
         ]
         block = build_compensation_block(
             "CompDef_%s" % node_id,
-            items,
+            members,
+            chain(members),
+            DEAD_PATH,
             commit_rc=FLEX_COMMIT_RC,
             max_attempts=self.max_retries,
             description="compensates segment of node %s" % node_id,
         )
         comp_name = comp_block_activity(node_id)
-        states = [state_var(member) for member, __ in items]
         self.process.add_activity(
             Activity(
                 comp_name,
                 kind=ActivityKind.BLOCK,
                 block=block,
-                input_spec=[VariableDecl(s, DataType.LONG) for s in states],
-                output_spec=[VariableDecl("Done", DataType.LONG)],
+                input_spec=longs([state_var(m.name) for m in members]),
+                output_spec=longs(["Done"]),
                 start_condition=StartCondition.ANY,
                 description="failure handler of node %s" % node_id,
             )
@@ -294,28 +290,8 @@ class _Builder:
         # cascades here (that edge is wired by the child's build).
         for source, condition in failure_sources:
             self.process.connect(source, comp_name, condition)
-        compensatable = {member for member, __ in items}
-        for member, activity_name in segment_activities:
-            if member in compensatable:
+        for name, activity_name in segment_activities:
+            if self.members[name].compensation:
                 self.process.map_data(
-                    activity_name, comp_name, [("State", state_var(member))]
+                    activity_name, comp_name, [("State", state_var(name))]
                 )
-
-    def _relax_entry_condition(self, source: str) -> None:
-        """Rewrite the (single) outgoing edge of ``source`` — a
-        compensation block feeding the next alternative — to be
-        unconditional: the block always completes successfully."""
-        outgoing = [
-            (i, c)
-            for i, c in enumerate(self.process.control_connectors)
-            if c.source == source
-        ]
-        if len(outgoing) != 1:
-            raise TranslationError(
-                "internal: expected exactly one edge out of %s, found %d"
-                % (source, len(outgoing))
-            )
-        index, connector = outgoing[0]
-        self.process.control_connectors[index] = type(connector)(
-            connector.source, connector.target, "TRUE"
-        )

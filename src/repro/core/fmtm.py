@@ -34,13 +34,12 @@ from repro.obs.tracing import Span, Tracer
 from repro.fdl.exporter import export_document
 from repro.fdl.importer import ImportResult, import_text
 from repro.wfms.engine import Engine
-from repro.core.compblock import Translation
+from repro.core.compblock import DEAD_PATH, GUARDED, Translation
 from repro.core.contract import ContractSpec, translate_contract
 from repro.core.flexible import FlexibleSpec
 from repro.core.flexible_translator import translate_flexible
-from repro.core.parallel_saga import translate_parallel_saga
 from repro.core.sagas import SagaSpec
-from repro.core.saga_translator import translate_saga
+from repro.core.saga_translator import lower_saga
 from repro.core.speclang import parse_spec
 from repro.core.wellformed import check_well_formed
 
@@ -83,23 +82,24 @@ def translate(
     Figure 2, DAG sagas by the guarded construction, flexible
     transactions by Figure 4, contracts by ConTract-lite.
 
-    ``compensate_completed`` applies to linear sagas only;
+    ``compensate_completed`` compensates a committed saga too, linear
+    or DAG; flexible transactions and contracts refuse it.
     ``max_retries`` bounds retried subtransactions and compensations.
     """
+    if isinstance(spec, SagaSpec):
+        construction = DEAD_PATH if spec.is_linear else GUARDED
+        return lower_saga(
+            spec, construction, compensate_completed, max_retries
+        )
+    if compensate_completed:
+        raise SpecificationError(
+            "compensate_completed applies to sagas, not to %s"
+            % type(spec).__name__
+        )
     if isinstance(spec, FlexibleSpec):
         return translate_flexible(spec, max_retries=max_retries)
     if isinstance(spec, ContractSpec):
         return translate_contract(spec, max_compensation_attempts=max_retries)
-    if isinstance(spec, SagaSpec):
-        if spec.is_linear:
-            return translate_saga(
-                spec,
-                compensate_completed=compensate_completed,
-                max_compensation_attempts=max_retries,
-            )
-        return translate_parallel_saga(
-            spec, max_compensation_attempts=max_retries
-        )
     raise SpecificationError("unsupported model %r" % type(spec).__name__)
 
 

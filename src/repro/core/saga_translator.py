@@ -1,4 +1,5 @@
-"""Saga → workflow process: the Figure 2 construction (§4.1).
+"""Saga → workflow process: the Figure 2 construction (§4.1), and the
+one saga envelope both saga translations share.
 
 "All the subtransactions of the saga are grouped into a block.  The
 flow of control within the block reflects that of the saga ... The
@@ -19,25 +20,19 @@ Return-code convention (appendix): RC ``0`` means the subtransaction
 committed.  Each forward activity writes ``State = 1`` on commit,
 mapped to ``State_<step>`` in the block's output container; the block's
 own ``_RC`` ends up as the RC of the *last executed* activity, so it is
-``0`` iff the whole saga committed (Figure 2's ``RC_FB``).
+``0`` iff a linear saga committed (Figure 2's ``RC_FB``).
 
-One engine-semantics note: in our navigator a transition condition
-reads the *source* activity's output container, so the NOP trigger
-activity first copies the ``State_i`` flags from the compensation
-block's input container into its own output container, and the trigger
-connectors read them there.  The trigger condition for step *i* is
-``State_i = 1 AND State_{i+1} = 0`` (only the most recently executed
-step starts compensation); the reverse chain then advances through a
-``Next = 1`` flag each compensating activity passes through, so
-compensation proceeds strictly in reverse execution order while dead-
-path elimination silently skips steps that never executed — exactly
-the behaviour narrated in the paper's appendix.
+:func:`lower_saga` is the envelope: the ``Forward`` block, then a
+``Compensation`` block from :func:`repro.core.compblock.build_compensation_block`.
+:func:`translate_saga` lowers with the dead-path construction (the
+paper's, linear sagas only); :func:`repro.core.parallel_saga.translate_parallel_saga`
+with the guarded one.  The two differ only in the block, the gate on
+it, the ``Compensated_<step>`` outputs and some names.
 """
 
 from __future__ import annotations
 
 from repro.errors import TranslationError
-from repro.wfms.datatypes import DataType, VariableDecl
 from repro.wfms.model import (
     PROCESS_OUTPUT,
     Activity,
@@ -45,9 +40,14 @@ from repro.wfms.model import (
     ProcessDefinition,
 )
 from repro.core.compblock import (
-    NOP_PROGRAM,
+    DEAD_PATH,
+    GUARDED,
+    Construction,
+    Member,
     Translation,
     build_compensation_block,
+    compensated_var,
+    longs,
     state_var,
 )
 from repro.core.sagas import SagaOutcome, SagaSpec
@@ -63,32 +63,89 @@ def translate_saga(
     compensate_completed: bool = False,
     max_compensation_attempts: int = 100,
 ) -> Translation:
-    """Translate ``spec`` into a workflow process (Figure 2).
+    """Translate the linear saga ``spec`` into a workflow process
+    (Figure 2, the dead-path construction).
 
     With ``compensate_completed`` the compensation block runs even when
     the saga committed ("users may require to compensate an already
     completed saga.  In these cases all activities must be
     compensated.").
     """
-    forward = _forward_block(spec)
-    compensation = _compensation_block(spec, max_compensation_attempts)
-    state_decls = [
-        VariableDecl(state_var(step.name), DataType.LONG)
-        for step in spec.steps
-    ]
+    return lower_saga(
+        spec, DEAD_PATH, compensate_completed, max_compensation_attempts
+    )
+
+
+#: Per construction: process name and description, the Forward
+#: activity's description, the block's name and description, and the
+#: Compensation activity's description.
+_NAMES = {
+    DEAD_PATH: (
+        "Saga_%s",
+        "Figure 2 translation of saga %r",
+        "forward block: the saga's subtransactions",
+        "Comp_%s",
+        "compensation block of saga %s",
+        "compensation block (reverse order)",
+    ),
+    GUARDED: (
+        "PSaga_%s",
+        "guarded (parallel-saga) translation of %r",
+        "forward block (DAG of subtransactions)",
+        "GComp_%s",
+        "guarded compensation block of %s",
+        "guarded compensation block (reversed DAG)",
+    ),
+}
+
+
+def lower_saga(
+    spec: SagaSpec,
+    construction: Construction,
+    compensate_completed: bool,
+    max_compensation_attempts: int,
+) -> Translation:
+    """The one saga envelope: a ``Forward`` block holding the steps
+    along the saga's order, then a ``Compensation`` block of the given
+    construction, gated on the forward outcome.
+
+    The dead-path construction needs a linear saga; the guarded one
+    takes any DAG, and also reports ``Compensated_<step>``.
+    """
+    guarded = construction is GUARDED
+    if not guarded and not spec.is_linear:
+        raise TranslationError(
+            "the Figure 2 compensation construction is defined for "
+            "linear sagas; use translate_parallel_saga for DAG sagas"
+        )
+    process_name, about, forward_about, block_name, block_about, comp_about = (
+        _NAMES[construction]
+    )
+    members = construction.members(spec.steps, "subtransaction")
+    forward = _forward_block(spec, members)
+    compensation = build_compensation_block(
+        block_name % spec.name,
+        members,
+        spec.order,
+        construction,
+        commit_rc=SAGA_COMMIT_RC,
+        max_attempts=max_compensation_attempts,
+        description=block_about % spec.name,
+    )
+    states = [state_var(member.name) for member in members]
+    flags = [compensated_var(m.name) for m in members] if guarded else []
     process = ProcessDefinition(
-        "Saga_%s" % spec.name,
-        description="Figure 2 translation of saga %r" % spec.name,
-        output_spec=list(state_decls)
-        + [VariableDecl("Compensated", DataType.LONG)],
+        process_name % spec.name,
+        description=about % spec.name,
+        output_spec=longs(states + ["Compensated"] + flags),
     )
     process.add_activity(
         Activity(
             "Forward",
             kind=ActivityKind.BLOCK,
             block=forward,
-            output_spec=list(state_decls),
-            description="forward block: the saga's subtransactions",
+            output_spec=longs(states),
+            description=forward_about,
         )
     )
     process.add_activity(
@@ -96,92 +153,68 @@ def translate_saga(
             "Compensation",
             kind=ActivityKind.BLOCK,
             block=compensation,
-            input_spec=list(state_decls),
-            output_spec=[VariableDecl("Done", DataType.LONG)],
-            description="compensation block (reverse order)",
+            input_spec=longs(states),
+            output_spec=longs(["Done"] + flags),
+            description=comp_about,
         )
     )
-    # RC_FB gates the compensation block (appendix: "In the case that
-    # it is 0, the compensation block is not executed").
-    condition = "TRUE" if compensate_completed else "RC <> 0"
-    process.connect("Forward", "Compensation", condition)
+    if compensate_completed:
+        gate = "TRUE"
+    elif guarded:
+        # The block RC is the last writer's, which only means "the saga
+        # aborted" for a chain: in a DAG a parallel sibling can finish
+        # (successfully) after the aborted step.  Compensate iff any
+        # step did not commit.
+        gate = " OR ".join("%s = 0" % s for s in states)
+    else:
+        # RC_FB gates the compensation block (appendix: "In the case
+        # that it is 0, the compensation block is not executed").
+        gate = "RC <> 0"
+    process.connect("Forward", "Compensation", gate)
+    mappings = [(s, s) for s in states]
+    process.map_data("Forward", "Compensation", mappings)
+    process.map_data("Forward", PROCESS_OUTPUT, mappings + [("_RC", "_RC")])
     process.map_data(
-        "Forward",
         "Compensation",
-        [(state_var(s.name), state_var(s.name)) for s in spec.steps],
-    )
-    process.map_data(
-        "Forward",
         PROCESS_OUTPUT,
-        [(state_var(s.name), state_var(s.name)) for s in spec.steps]
-        + [("_RC", "_RC")],
-    )
-    process.map_data(
-        "Compensation", PROCESS_OUTPUT, [("Done", "Compensated")]
+        [("Done", "Compensated")] + [(f, f) for f in flags],
     )
     process.validate()
-    required = {NOP_PROGRAM: "null activity (compensation trigger)"}
-    for step in spec.steps:
-        required[step.program] = "subtransaction %s" % step.name
-        required[step.compensation_program] = "compensation of %s" % step.name
     return Translation(
         spec,
         process,
-        required,
         SAGA_COMMIT_RC,
         SAGA_ABORT_RC,
         SagaOutcome,
-        programs={step.name: step.program for step in spec.steps},
-        compensation_programs={
-            step.name: step.compensation_program for step in spec.steps
-        },
+        members,
+        construction,
         forward_block=forward,
         compensation_block=compensation,
     )
 
 
-def _forward_block(spec: SagaSpec) -> ProcessDefinition:
+def _forward_block(spec: SagaSpec, members: list[Member]) -> ProcessDefinition:
     block = ProcessDefinition(
         "Fwd_%s" % spec.name,
         description="forward block of saga %s" % spec.name,
-        output_spec=[
-            VariableDecl(state_var(step.name), DataType.LONG)
-            for step in spec.steps
-        ],
+        output_spec=longs([state_var(member.name) for member in members]),
     )
-    for step in spec.steps:
+    for member in members:
         block.add_activity(
             Activity(
-                step.name,
-                program=step.program,
-                output_spec=[VariableDecl("State", DataType.LONG)],
-                description="subtransaction %s" % step.name,
+                member.name,
+                program=member.program,
+                output_spec=longs(["State"]),
+                description=member.description,
             )
         )
         # Register execution status in the block's output container.
         block.map_data(
-            step.name, PROCESS_OUTPUT, [("State", state_var(step.name)), ("_RC", "_RC")]
+            member.name,
+            PROCESS_OUTPUT,
+            [("State", state_var(member.name)), ("_RC", "_RC")],
         )
     for source, target in spec.order:
         # "the previous activity must have terminated successfully".
         block.connect(source, target, "RC = %d" % SAGA_COMMIT_RC)
     return block
-
-
-def _compensation_block(
-    spec: SagaSpec,
-    max_compensation_attempts: int,
-) -> ProcessDefinition:
-    if not spec.is_linear:
-        raise TranslationError(
-            "the Figure 2 compensation construction is defined for "
-            "linear sagas; use translate_parallel_saga for DAG sagas"
-        )
-    return build_compensation_block(
-        "Comp_%s" % spec.name,
-        [(step.name, step.compensation_program) for step in spec.steps],
-        commit_rc=SAGA_COMMIT_RC,
-        max_attempts=max_compensation_attempts,
-        description="compensation block of saga %s" % spec.name,
-    )
-

@@ -15,7 +15,14 @@ from repro.core.bindings import (
     register_programs,
     workflow_outcome,
 )
-from repro.core.compblock import build_compensation_block, state_var
+from repro.core.compblock import (
+    DEAD_PATH,
+    Member,
+    build_compensation_block,
+    chain,
+    state_var,
+)
+from repro.core.flexible import FlexibleMember, FlexibleSpec
 from repro.core.flexible_translator import translate_flexible
 from repro.core.saga_translator import translate_saga
 from repro.core.sagas import SagaSpec, SagaStep
@@ -62,19 +69,19 @@ def prev_source(block, member):
 
 
 class TestPassthroughs:
-    ITEMS = [("a", "ca"), ("b", "cb"), ("c", "cc")]
+    MEMBERS = [Member(n, "subtransaction", "t" + n, "c" + n) for n in "abc"]
+
+    def block(self):
+        return build_compensation_block(
+            "B", self.MEMBERS, chain(self.MEMBERS), DEAD_PATH,
+            commit_rc=0, max_attempts=1,
+        )
 
     def test_first_item_forwards_own_state(self):
-        block = build_compensation_block(
-            "B", self.ITEMS, commit_rc=0, max_attempts=1
-        )
-        assert prev_source(block, "a") == state_var("a")
+        assert prev_source(self.block(), "a") == state_var("a")
 
     def test_later_items_forward_previous_state(self):
-        block = build_compensation_block(
-            "B", self.ITEMS, commit_rc=0, max_attempts=1
-        )
-        assert prev_source(block, "c") == state_var("b")
+        assert prev_source(self.block(), "c") == state_var("b")
 
     def test_saga_wrapper_matches(self):
         spec = SagaSpec("s", [SagaStep("a"), SagaStep("b")])
@@ -84,8 +91,6 @@ class TestPassthroughs:
     def test_shared_member_forwards_each_blocks_predecessor(self):
         # d sits on both alternatives, after c on one and after x on the
         # other: each block wires its own predecessor into Comp_d.
-        from repro.core.flexible import FlexibleMember, FlexibleSpec
-
         spec = FlexibleSpec(
             "shared",
             [FlexibleMember(n, compensatable=True) for n in "acdbx"]
@@ -152,8 +157,6 @@ class TestOutcomeReconstruction:
         assert not outcome.committed
 
     def test_flexible_shared_member_counted_once(self):
-        from repro.core.flexible import FlexibleMember, FlexibleSpec
-
         spec = FlexibleSpec(
             "shared",
             [
@@ -180,3 +183,60 @@ class TestOutcomeReconstruction:
         assert outcome.committed
         assert outcome.committed_path == ["a", "y", "b"]
         assert outcome.committed_members.count("b") == 1
+
+
+class TestCompensationNames:
+    """Only ``Comp_<m>`` of a member m that has a compensation is a
+    compensation; a member may itself be called ``Comp_<x>``."""
+
+    SPEC = SagaSpec("S", [SagaStep("Comp_a"), SagaStep("b")])
+
+    def run(self, abort):
+        db = SimDatabase()
+        actions = {
+            n: Subtransaction(n, db, write_value(n, 1)) for n in ("Comp_a", "b")
+        }
+        if abort:
+            actions[abort].policy = AbortScript([1])
+        comps = {
+            n: Subtransaction("u" + n, db, write_value(n, 0))
+            for n in ("Comp_a", "b")
+        }
+        translation = translate_saga(self.SPEC)
+        engine = Engine()
+        register_programs(engine, translation, actions, comps)
+        engine.register_definition(translation.process)
+        result = engine.run_process(translation.process_name)
+        return workflow_outcome(engine, translation, result.instance_id)
+
+    def test_committed_saga_compensated_nothing(self):
+        outcome = self.run(None)
+        assert outcome.committed
+        assert outcome.executed == ["Comp_a", "b"]
+        assert outcome.compensated == []
+
+    def test_abort_reports_the_member_compensated(self):
+        outcome = self.run("b")
+        assert not outcome.committed
+        assert outcome.compensated == ["Comp_a"]
+
+    @pytest.mark.parametrize(
+        "translate",
+        [
+            lambda: translate_saga(SagaSpec("S", [SagaStep("a"), SagaStep("Comp_a")])),
+            lambda: translate_flexible(
+                FlexibleSpec(
+                    "F",
+                    [FlexibleMember("a", compensatable=True),
+                     FlexibleMember("Comp_a")],
+                    [["a", "Comp_a"]],
+                )
+            ),
+        ],
+        ids=["saga", "flexible"],
+    )
+    def test_member_named_like_a_compensation_activity_rejected(
+        self, translate
+    ):
+        with pytest.raises(SpecificationError, match="Comp_a"):
+            translate()

@@ -5,12 +5,27 @@ import pytest
 from repro.errors import DefinitionError
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT, StartCondition
 from repro.core.compblock import (
+    DEAD_PATH,
+    GUARDED,
+    Member,
     build_compensation_block,
+    chain,
     comp_activity_name,
     state_var,
 )
 
-ITEMS = [("a", "comp_a"), ("b", "comp_b"), ("c", "comp_c")]
+MEMBERS = [Member(n, "subtransaction", "txn_" + n, "comp_" + n) for n in "abc"]
+
+
+def dead_path_block(members=MEMBERS, *, commit_rc=0, max_attempts=1):
+    return build_compensation_block(
+        "Comp",
+        members,
+        chain(members),
+        DEAD_PATH,
+        commit_rc=commit_rc,
+        max_attempts=max_attempts,
+    )
 
 
 class TestNames:
@@ -24,9 +39,7 @@ class TestNames:
 class TestConstruction:
     @pytest.fixture
     def block(self):
-        return build_compensation_block(
-            "Comp", ITEMS, commit_rc=0, max_attempts=9
-        )
+        return dead_path_block(max_attempts=9)
 
     def test_contains_nop_and_comp_activities(self, block):
         assert set(block.activities) == {
@@ -64,9 +77,7 @@ class TestConstruction:
             assert activity.start_condition is StartCondition.ANY
 
     def test_commit_rc_parameterised(self):
-        block = build_compensation_block(
-            "Comp", ITEMS, commit_rc=1, max_attempts=5
-        )
+        block = dead_path_block(commit_rc=1, max_attempts=5)
         assert block.activity("Comp_a").exit_condition.source == "RC = 1"
 
     def test_states_flow_in_through_process_input(self, block):
@@ -84,9 +95,7 @@ class TestConstruction:
         assert out and all(("Next", "Done") in c.mappings for c in out)
 
     def test_empty_items_gives_nop_only_block(self):
-        block = build_compensation_block(
-            "Comp", [], commit_rc=0, max_attempts=1
-        )
+        block = dead_path_block([])
         assert set(block.activities) == {"NOP"}
         block.validate()
 
@@ -100,9 +109,7 @@ class TestPassthrough:
 
     @pytest.fixture
     def block(self):
-        return build_compensation_block(
-            "Comp", ITEMS, commit_rc=0, max_attempts=1
-        )
+        return dead_path_block()
 
     @staticmethod
     def prev_of(block, member):
@@ -128,3 +135,48 @@ class TestPassthrough:
     def test_unknown_member_raises(self, block):
         with pytest.raises(DefinitionError):
             block.activity(comp_activity_name("ghost"))
+
+
+class TestGuarded:
+    """The same builder over a DAG: every compensating activity runs,
+    along the reversed edges, starting at the forward sinks."""
+
+    MEMBERS = [Member(n, "subtransaction", "txn_" + n, "gcomp_" + n)
+               for n in "abcd"]
+    EDGES = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+
+    @pytest.fixture
+    def block(self):
+        return build_compensation_block(
+            "G", self.MEMBERS, self.EDGES, GUARDED,
+            commit_rc=0, max_attempts=3,
+        )
+
+    def test_nop_enters_at_the_sinks_only(self, block):
+        assert [
+            (c.source, c.target, c.condition.source)
+            for c in block.control_connectors
+            if c.source == "NOP"
+        ] == [("NOP", "Comp_d", "TRUE")]
+
+    def test_reversed_edges_are_unconditional(self, block):
+        assert [
+            (c.source, c.target, c.condition.source)
+            for c in block.control_connectors
+            if c.source != "NOP"
+        ] == [
+            ("Comp_b", "Comp_a", "TRUE"),
+            ("Comp_c", "Comp_a", "TRUE"),
+            ("Comp_d", "Comp_b", "TRUE"),
+            ("Comp_d", "Comp_c", "TRUE"),
+        ]
+
+    def test_reports_which_compensations_ran(self, block):
+        assert [d.name for d in block.output_spec] == [
+            "Done", "Compensated_a", "Compensated_b", "Compensated_c",
+            "Compensated_d",
+        ]
+        assert block.activity("Comp_a").program == "gcomp_a"
+        assert block.activity("Comp_a").exit_condition.source == "RC = 0"
+        assert block.activity("Comp_a").max_iterations == 3
+        block.validate()

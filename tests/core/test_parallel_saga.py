@@ -181,3 +181,40 @@ class TestStoreBackedEngine:
         assert outcomes[0] == outcomes[1]
         if abort == "c":
             assert outcomes[1].compensated == ["b", "a"]
+
+
+class TestCompensateCompleted:
+    """``fmtm.translate(..., compensate_completed=True)`` compensates a
+    committed DAG saga too, as the native executor does."""
+
+    def test_every_outcome_vector_matches_native(self):
+        from repro.core.fmtm import translate
+        from tests.exhaustive import (
+            SIBLING_ORDER,
+            SIBLINGS_FINISH,
+            Case,
+            divergence,
+            guarantee_violation,
+            walk,
+        )
+
+        case = Case(
+            "diamond",
+            DIAMOND,
+            translate(DIAMOND, compensate_completed=True),
+            compensate_completed=True,
+        )
+        leaves = walk(case)
+        # As the diamond walk in test_exhaustive.py, except that the
+        # committed saga is compensated too: 2^4 leaves instead of 1.
+        assert len(leaves) == 1 + (2 ** 4 + 2 ** 3) + 2 * 2 ** 2 + 2
+        seen = set()
+        for leaf in leaves:
+            for run in (leaf.native, leaf.workflow):
+                assert guarantee_violation(case, run) is None, leaf.decisions
+            seen.add(divergence(case, leaf))
+        assert seen == {None, SIBLINGS_FINISH, SIBLING_ORDER}
+        committed = leaves[0].workflow
+        assert committed.outcome["committed"]
+        assert committed.outcome["compensated"] == ["d", "b", "c", "a"]
+        assert committed.db == {n: 0 for n in "abcd"}

@@ -5,13 +5,14 @@ import pytest
 from repro.errors import (
     FDLError,
     ProgramError,
+    SpecificationError,
     SpecSyntaxError,
     WellFormednessError,
 )
 from repro.tx import AbortScript, SimDatabase
 from repro.wfms.engine import Engine
 from repro.core.flexible import FlexibleSpec
-from repro.core.fmtm import FMTMPipeline, STAGES
+from repro.core.fmtm import FMTMPipeline, STAGES, translate
 from repro.core.sagas import SagaSpec
 from repro.core.speclang import (
     format_flexible_spec,
@@ -199,3 +200,27 @@ class TestPipeline:
         engine.run()
         assert engine.instance_state(i1) == "finished"
         assert engine.instance_state(i2) == "finished"
+
+
+class TestCompensateCompletedScope:
+    """``compensate_completed`` is a saga option: flexible transactions
+    and contracts refuse it rather than ignore it."""
+
+    CONTRACT_TEXT = """
+MODEL CONTRACT 'c'
+  STEP 'a'
+END 'c'
+"""
+
+    @pytest.mark.parametrize("text", [FLEX_TEXT, CONTRACT_TEXT],
+                             ids=["flexible", "contract"])
+    def test_translate_refuses(self, text):
+        with pytest.raises(SpecificationError, match="compensate_completed"):
+            translate(parse_spec(text), compensate_completed=True)
+
+    @pytest.mark.parametrize("text", [FLEX_TEXT, CONTRACT_TEXT],
+                             ids=["flexible", "contract"])
+    def test_pipeline_refuses(self, text):
+        pipeline = FMTMPipeline(Engine())
+        with pytest.raises(SpecificationError, match="compensate_completed"):
+            pipeline.process_specification(text, compensate_completed=True)

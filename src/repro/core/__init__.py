@@ -7,8 +7,12 @@ as workflow processes.
   ZNBB94]: typed subtransactions, alternative execution paths, a native
   executor, and the well-formedness checker
   (:mod:`repro.core.wellformed`).
+* :mod:`repro.core.compblock` — the translation kit every
+  compensation-based model lowers onto: ``Member`` lists, one
+  compensation-block builder, the dead-path and guarded constructions.
 * :mod:`repro.core.saga_translator` — the Figure 2 construction:
-  saga → workflow process (forward block + compensation block).
+  saga → workflow process (forward block + compensation block), the
+  envelope parallel sagas share.
 * :mod:`repro.core.flexible_translator` — the §4.2 seven-rule
   construction: flexible transaction → workflow process (Figure 4).
 * :mod:`repro.core.bindings` — the one binding layer of the four

@@ -101,7 +101,6 @@ class Construction:
     """How a compensation block skips members that never committed, and
     how its programs are named and described."""
 
-    name: str
     #: PROGRAM description of the NOP.
     nop_program: str
     #: Description of the block's NOP activity.
@@ -125,14 +124,13 @@ class Construction:
 
 
 DEAD_PATH = Construction(
-    "dead-path",
     "null activity (compensation trigger)",
     "null activity triggering compensation",
     "",
     "compensation of %s",
 )
 GUARDED = Construction(
-    "guarded", "null activity", "", "g", "guarded compensation of %s"
+    "null activity", "", "g", "guarded compensation of %s"
 )
 
 
@@ -232,18 +230,19 @@ def build_compensation_block(
     guarded = construction is GUARDED
     states = [state_var(member.name) for member in members]
     flags = [compensated_var(m.name) for m in members] if guarded else []
+    state_decls = longs(states)
     block = ProcessDefinition(
         block_name,
         description=description,
-        input_spec=longs(states),
+        input_spec=list(state_decls),
         output_spec=longs(["Done"] + flags),
     )
     block.add_activity(
         Activity(
             "NOP",
             program=NOP_PROGRAM,
-            input_spec=longs(states),
-            output_spec=longs(states),
+            input_spec=list(state_decls),
+            output_spec=list(state_decls),
             description=construction.nop_activity,
         )
     )
@@ -266,7 +265,7 @@ def build_compensation_block(
             Activity(
                 comp_name,
                 program=member.compensation,
-                input_spec=longs(states + ([] if guarded else ["Prev"])),
+                input_spec=state_decls + ([] if guarded else longs(["Prev"])),
                 output_spec=longs(["DidRun" if guarded else "Next"]),
                 start_condition=(
                     StartCondition.ALL if guarded else StartCondition.ANY

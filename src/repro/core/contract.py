@@ -24,7 +24,8 @@ the context so its outgoing transition conditions can read it)
 followed by the step activity; the invariant and its negation label
 the two outgoing connectors — exactly the if-then-else the paper says
 transaction models lack.  Failures route to a guarded compensation
-block: the parallel-saga construction over the script's chain.
+block: the translation kit's guarded construction over the script's
+chain.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from repro.errors import DefinitionError
 from repro.wfms.model import PROCESS_INPUT, PROCESS_OUTPUT, StartCondition
 from repro.core.compblock import (
     DEAD_PATH,
-    GUARDED,
     Member,
     build_compensation_block,
     chain,
@@ -136,47 +135,3 @@ class TestPassthrough:
         with pytest.raises(DefinitionError):
             block.activity(comp_activity_name("ghost"))
 
-
-class TestGuarded:
-    """The same builder over a DAG: every compensating activity runs,
-    along the reversed edges, starting at the forward sinks."""
-
-    MEMBERS = [Member(n, "subtransaction", "txn_" + n, "gcomp_" + n)
-               for n in "abcd"]
-    EDGES = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-
-    @pytest.fixture
-    def block(self):
-        return build_compensation_block(
-            "G", self.MEMBERS, self.EDGES, GUARDED,
-            commit_rc=0, max_attempts=3,
-        )
-
-    def test_nop_enters_at_the_sinks_only(self, block):
-        assert [
-            (c.source, c.target, c.condition.source)
-            for c in block.control_connectors
-            if c.source == "NOP"
-        ] == [("NOP", "Comp_d", "TRUE")]
-
-    def test_reversed_edges_are_unconditional(self, block):
-        assert [
-            (c.source, c.target, c.condition.source)
-            for c in block.control_connectors
-            if c.source != "NOP"
-        ] == [
-            ("Comp_b", "Comp_a", "TRUE"),
-            ("Comp_c", "Comp_a", "TRUE"),
-            ("Comp_d", "Comp_b", "TRUE"),
-            ("Comp_d", "Comp_c", "TRUE"),
-        ]
-
-    def test_reports_which_compensations_ran(self, block):
-        assert [d.name for d in block.output_spec] == [
-            "Done", "Compensated_a", "Compensated_b", "Compensated_c",
-            "Compensated_d",
-        ]
-        assert block.activity("Comp_a").program == "gcomp_a"
-        assert block.activity("Comp_a").exit_condition.source == "RC = 0"
-        assert block.activity("Comp_a").max_iterations == 3
-        block.validate()

@@ -155,9 +155,7 @@ class Leaf:
     activities: list[str]
 
     def digest(self) -> str:
-        document = json.dumps(
-            dataclasses.asdict(self), sort_keys=True, default=str
-        )
+        document = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(document.encode("utf-8")).hexdigest()
 
 

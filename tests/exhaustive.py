@@ -363,12 +363,17 @@ def divergence(case: Case, leaf: Leaf) -> str | None:
         native.outcome["committed"] == workflow.outcome["committed"]
         and persisting(native.db) == persisting(workflow.db)
     )
-    if isinstance(spec, SagaSpec) and same_end:
+    if isinstance(spec, SagaSpec) and not spec.is_linear and same_end:
         extra = _attempts(workflow) - _attempts(native)
         siblings = {step.name for step in spec.steps} & extra
-        if siblings and extra <= siblings | {"undo_%s" % s for s in siblings}:
+        if (
+            siblings
+            and extra <= siblings | {"undo_%s" % s for s in siblings}
+            and set(native.outcome["executed"])
+            <= set(workflow.outcome["executed"])
+        ):
             return SIBLINGS_FINISH
-        if not extra and not spec.is_linear and all(
+        if not extra and all(
             sorted(native.outcome[f]) == sorted(workflow.outcome[f])
             for f in ("executed", "compensated")
         ):

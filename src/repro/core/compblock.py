@@ -154,6 +154,8 @@ class Translation:
     outcome_type: type
     #: The model's members, in member order.
     members: list[Member]
+    #: How the model's compensation blocks skip members that never
+    #: committed; also names and describes the programs.
     construction: Construction
     #: Program of the activity that marks a contract committed.
     done_program: str = ""

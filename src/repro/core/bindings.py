@@ -147,7 +147,8 @@ def workflow_outcome(engine, translation: Translation, instance_id: str):
                 last_compensation[member] = index
         else:
             # A member on two alternatives runs as "<member>__<node>".
-            last_forward[activity.split("__", 1)[0]] = index
+            member = translation.member_activities.get(activity, activity)
+            last_forward[member] = index
     # A member ends committed when it committed (its State flag is the
     # last writer's) after its last compensation: a member shared by
     # two alternatives is compensated on one and runs again on the next.

@@ -162,6 +162,10 @@ class Translation:
     #: member -> activity deciding whether the member runs; the member
     #: was *skipped* when that activity ran and the member did not.
     entry_checks: dict[str, str] = field(default_factory=dict)
+    #: activity -> member, for a member's activity not named after it
+    #: (a flexible member on two alternatives runs as
+    #: ``<member>__<node>`` on the second).
+    member_activities: dict[str, str] = field(default_factory=dict)
     forward_block: ProcessDefinition | None = None
     compensation_block: ProcessDefinition | None = None
     #: Human-readable notes (e.g. pruned unreachable alternatives).

@@ -92,6 +92,7 @@ def translate_flexible(
         FlexibleOutcome,
         list(builder.members.values()),
         DEAD_PATH,
+        member_activities=builder.member_activities,
         notes=builder.notes,
     )
 
@@ -108,6 +109,8 @@ class _Builder:
         self.max_retries = max_retries
         #: Members in the order their first activity was added.
         self.members: dict[str, Member] = {}
+        #: node-qualified activity -> its member.
+        self.member_activities: dict[str, str] = {}
         self.notes: list[str] = []
 
     # -- failure analysis ---------------------------------------------------
@@ -237,6 +240,7 @@ class _Builder:
         activity_name = name
         if activity_name in self.process.activities:
             activity_name = "%s__%s" % (name, node_id)
+            self.member_activities[activity_name] = name
         retriable = spec_member.retriable
         self.process.add_activity(
             Activity(

@@ -19,26 +19,35 @@ reaching the OS before the next (one extra ``write`` per root), so an
 entry that survives a process crash has its slice too; under
 ``sync="always"`` each is fsynced in that order, and :meth:`flush`, the
 checkpoint barrier, fsyncs the sidecar, then the archive.  Open parses
-``archive.jsonl`` only — the in-memory index holds the small entries —
-and never reads the sidecar: it checks each ``audit_ref`` against the
-sidecar's length.  The first entry whose range ends past that length,
+``archive.jsonl`` only and never reads the sidecar: it checks each
+``audit_ref`` against the sidecar's length.  The first entry whose range ends past that length,
 or a torn final line, starts a torn tail: it and every later line are
 truncated off (they postdate the last barrier, so the journal still
 holds their records and replay re-archives them — the append is
 idempotent by root id), and the sidecar is truncated to the end of the
 last kept range.  :meth:`audit` reads one root's slice on demand.
 
-Queries (:meth:`by_id`, :meth:`by_definition`,
-:meth:`finished_between`, :meth:`outcomes`) are answered from the
-in-memory index.  Format-1 entries (a directory written before the
-sidecar existed) keep their slice inline under ``"audit"``.
+The in-memory index holds no entry.  It keeps one :class:`ArchiveRow`
+per root — definition, finish time, return code, the root's state and
+output, ``audit_ref`` and the byte range of the root's line in
+``archive.jsonl`` — plus every archived id's root and each
+definition's roots, so nothing in it grows with an entry's subtree,
+orders or audit records.  :meth:`outcomes`, :meth:`roots` and the
+counts answer from the rows, and :meth:`row` lets the engine answer a
+root's state and output without a read.  :meth:`by_id`,
+:meth:`by_definition`, :meth:`finished_between` and a format-1
+:meth:`audit` read the entry's line through one read handle that stays
+open (``os.pread``) and check that it is this root's; a line that is
+not raises :class:`RecoveryError`.  Format-1 entries (a directory
+written before the sidecar existed) keep their slice inline under
+``"audit"``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import RecoveryError
 from repro.wfms.journal import trim_torn_tail
@@ -112,6 +121,25 @@ def build_archive_entry(navigator, instance) -> dict[str, Any]:
     }
 
 
+class ArchiveRow(NamedTuple):
+    """What the index keeps in memory for one archived root: enough to
+    answer counts, outcomes and the root's state and output, plus where
+    its entry line and audit slice live on disk."""
+
+    format: int
+    definition: str
+    finished_at: float
+    rc: int
+    #: the root's own state and output (its ``instances`` record's).
+    state: str | None
+    output: dict[str, Any] | None
+    #: ``[offset, length]`` of the slice in the sidecar (format 2).
+    audit_ref: list[int] | None
+    #: byte range of the root's line in ``archive.jsonl``.
+    offset: int
+    length: int
+
+
 class InstanceArchive:
     """Append-only archive of finished root instances, with queries."""
 
@@ -120,8 +148,8 @@ class InstanceArchive:
         stem, extension = os.path.splitext(self._path)
         self._audit_path = stem + "-audit" + extension
         self._sync = sync
-        #: root id -> entry (without its audit slice), in finish order.
-        self._entries: dict[str, dict[str, Any]] = {}
+        #: root id -> its row, in finish order.
+        self._rows: dict[str, ArchiveRow] = {}
         #: any archived instance id -> its root id.
         self._root_of: dict[str, str] = {}
         #: definition name -> root ids.
@@ -130,50 +158,47 @@ class InstanceArchive:
         self._audit_size = 0
         if os.path.exists(self._path):
             self._load()
-        self._file = open(self._path, "a", encoding="utf-8")
+        self._file = open(self._path, "ab")
         self._audit_file = open(self._audit_path, "ab")
+        #: reads entry lines by their byte range (``os.pread``).
+        self._reader = open(self._path, "rb")
 
     def _load(self) -> None:
-        with open(self._path, "rb") as handle:
-            data = handle.read()
         try:
             audit_size = os.path.getsize(self._audit_path)
         except OSError:
             audit_size = 0
-        lines = data.split(b"\n")
-        last = max(
-            (i for i, line in enumerate(lines) if line.strip()), default=-1
-        )
         kept_audit = 0
         cut = None
         position = 0
-        for index, line in enumerate(lines):
-            start = position
-            position += len(line) + 1
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                if index != last:
-                    raise RecoveryError(
-                        "%s:%d: corrupt archive entry followed by durable "
-                        "data (only a torn final line is a clean crash "
-                        "signature)" % (self._path, index + 1)
-                    ) from None
-                cut = start
-                break
-            if not _well_formed(entry):
-                raise RecoveryError(
-                    "%s:%d: malformed archive entry" % (self._path, index + 1)
-                )
-            if entry["format"] == ENTRY_FORMAT:
-                offset, length = entry["audit_ref"]
-                if offset + length > audit_size:
+        with open(self._path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
+                start = position
+                position += len(line)
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    if any(rest.strip() for rest in handle):
+                        raise RecoveryError(
+                            "%s:%d: corrupt archive entry followed by "
+                            "durable data (only a torn final line is a "
+                            "clean crash signature)" % (self._path, number)
+                        ) from None
                     cut = start
                     break
-                kept_audit = max(kept_audit, offset + length)
-            self._index(entry)
+                if not _well_formed(entry):
+                    raise RecoveryError(
+                        "%s:%d: malformed archive entry" % (self._path, number)
+                    )
+                if entry["format"] == ENTRY_FORMAT:
+                    offset, length = entry["audit_ref"]
+                    if offset + length > audit_size:
+                        cut = start
+                        break
+                    kept_audit = max(kept_audit, offset + length)
+                self._index(entry, start, len(line))
         if cut is not None:
             with open(self._path, "r+b") as handle:
                 handle.truncate(cut)
@@ -183,12 +208,40 @@ class InstanceArchive:
                 handle.truncate(kept_audit)
         self._audit_size = kept_audit
 
-    def _index(self, entry: dict[str, Any]) -> None:
+    def _index(self, entry: dict[str, Any], offset: int, length: int) -> None:
         root = entry["root"]
-        self._entries[root] = entry
+        own = entry["instances"].get(root, {})
+        self._rows[root] = ArchiveRow(
+            entry["format"],
+            entry["definition"],
+            entry["finished_at"],
+            entry["rc"],
+            own.get("state"),
+            own.get("output"),
+            entry.get("audit_ref"),
+            offset,
+            length,
+        )
         for instance_id in entry["instances"]:
             self._root_of[instance_id] = root
         self._by_definition.setdefault(entry["definition"], []).append(root)
+
+    def _entry(self, root: str) -> dict[str, Any]:
+        """``root``'s entry, read from its line in ``archive.jsonl``."""
+        row = self._rows[root]
+        if self._reader is None:
+            self._reader = open(self._path, "rb")
+        data = os.pread(self._reader.fileno(), row.length, row.offset)
+        try:
+            entry = json.loads(data)
+        except ValueError:
+            entry = None
+        if not isinstance(entry, dict) or entry.get("root") != root:
+            raise RecoveryError(
+                "%s: bytes %d+%d are not the archive entry of %s"
+                % (self._path, row.offset, row.length, root)
+            )
+        return entry
 
     @property
     def path(self) -> str:
@@ -200,7 +253,7 @@ class InstanceArchive:
         that root is already archived — re-archiving after a replay
         that re-finished a torn-tail instance is the normal heal."""
         root = entry["root"]
-        if root in self._entries:
+        if root in self._rows:
             return False
         if self._file is None:
             raise RecoveryError("archive %s is closed" % self._path)
@@ -215,12 +268,13 @@ class InstanceArchive:
         if self._sync == "always":
             os.fsync(self._audit_file.fileno())
         self._audit_size += len(line)
-        self._file.write(json.dumps(stored, sort_keys=True))
-        self._file.write("\n")
+        offset = self._file.tell()
+        data = json.dumps(stored, sort_keys=True).encode("utf-8") + b"\n"
+        self._file.write(data)
         self._file.flush()
         if self._sync == "always":
             os.fsync(self._file.fileno())
-        self._index(stored)
+        self._index(stored, offset, len(data))
         return True
 
     def audit(self, root: str) -> list[dict[str, Any]] | None:
@@ -228,12 +282,12 @@ class InstanceArchive:
         from the sidecar; None when ``root`` is not an archived root.
         Raises :class:`RecoveryError` when the slice's bytes are
         corrupt or belong to another root."""
-        entry = self._entries.get(root)
-        if entry is None:
+        row = self._rows.get(root)
+        if row is None:
             return None
-        if entry["format"] == INLINE_FORMAT:
-            return entry["audit"]
-        offset, length = entry["audit_ref"]
+        if row.format == INLINE_FORMAT:
+            return self._entry(root)["audit"]
+        offset, length = row.audit_ref
         with open(self._audit_path, "rb") as handle:
             handle.seek(offset)
             data = handle.read(length)
@@ -260,10 +314,10 @@ class InstanceArchive:
         return frozenset(self._root_of)
 
     def roots(self) -> list[str]:
-        return list(self._entries)
+        return list(self._rows)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, instance_id: str) -> bool:
         return instance_id in self._root_of
@@ -272,6 +326,11 @@ class InstanceArchive:
         """Total archived instances including block/subprocess children."""
         return len(self._root_of)
 
+    def row(self, root: str) -> ArchiveRow | None:
+        """The in-memory row of an archived root (None for any other
+        id): its state and output without reading the file."""
+        return self._rows.get(root)
+
     def by_id(self, instance_id: str) -> dict[str, Any] | None:
         """The archived view of one instance (root or descendant), or
         None.  Roots return their full entry; descendants return their
@@ -279,7 +338,7 @@ class InstanceArchive:
         root = self._root_of.get(instance_id)
         if root is None:
             return None
-        entry = self._entries[root]
+        entry = self._entry(root)
         if instance_id == root:
             return entry
         view = dict(entry["instances"][instance_id])
@@ -290,7 +349,7 @@ class InstanceArchive:
 
     def by_definition(self, definition: str) -> list[dict[str, Any]]:
         return [
-            self._entries[root]
+            self._entry(root)
             for root in self._by_definition.get(definition, ())
         ]
 
@@ -299,19 +358,19 @@ class InstanceArchive:
     ) -> list[dict[str, Any]]:
         """Entries with ``start <= finished_at <= end`` (logical clock)."""
         return [
-            entry
-            for entry in self._entries.values()
-            if start <= entry["finished_at"] <= end
+            self._entry(root)
+            for root, row in self._rows.items()
+            if start <= row.finished_at <= end
         ]
 
     def outcomes(self, definition: str | None = None) -> dict[int, int]:
         """Return-code -> count over archived roots (optionally one
         definition's)."""
         counts: dict[int, int] = {}
-        for entry in self._entries.values():
-            if definition is not None and entry["definition"] != definition:
+        for row in self._rows.values():
+            if definition is not None and row.definition != definition:
                 continue
-            rc = int(entry["rc"])
+            rc = int(row.rc)
             counts[rc] = counts.get(rc, 0) + 1
         return counts
 
@@ -331,6 +390,7 @@ class InstanceArchive:
             self._audit_file.close()
             self._file.close()
             self._file = self._audit_file = None
+        self._close_reader()
 
     def abandon(self) -> None:
         for handle in (self._audit_file, self._file):
@@ -340,11 +400,18 @@ class InstanceArchive:
                 except OSError:
                     pass
         self._file = self._audit_file = None
+        self._close_reader()
+
+    def _close_reader(self) -> None:
+        # A query after close opens the reader again.
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
 
     def reopen(self) -> None:
         if self._file is None:
             trim_torn_tail(self._path)
-            self._file = open(self._path, "a", encoding="utf-8")
+            self._file = open(self._path, "ab")
             self._audit_file = open(self._audit_path, "ab")
             # Bytes a failed write left behind are orphans: skip them.
             self._audit_size = os.path.getsize(self._audit_path)
@@ -352,7 +419,7 @@ class InstanceArchive:
     def __repr__(self) -> str:
         return "InstanceArchive(%r, roots=%d, instances=%d)" % (
             self._path,
-            len(self._entries),
+            len(self._rows),
             len(self._root_of),
         )
 

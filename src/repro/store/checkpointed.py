@@ -14,8 +14,10 @@ and the one checkpoint protocol (DESIGN.md §11):
    every compaction floor is one too and compaction only ever
    retires whole sealed segments;
 3. atomic, checksummed write of the snapshot;
-4. re-load and verify it — an unverifiable checkpoint raises and
-   nothing below it is reclaimed;
+4. read the file back and compare it with the bytes written — a
+   mismatch or a read error raises and nothing below it is reclaimed
+   (:func:`~repro.store.snapshot.load_checkpoint`, which parses the
+   file and recomputes its checksum, stays the check at recovery);
 5. retire snapshots beyond ``keep_checkpoints``;
 6. compact the journal below the **oldest retained** checkpoint — not
    the newest, which the next crash may tear (or time corrupt): the
@@ -119,8 +121,13 @@ class CheckpointedLog:
         journal.rotate()
         offset = state["offset"] = journal.next_index
         path = self.checkpoint_path(offset)
-        write_checkpoint(path, state, injector=self._injector)
-        if load_checkpoint(path) is None:
+        written = write_checkpoint(path, state, injector=self._injector)
+        try:
+            with open(path, "rb") as handle:
+                verified = handle.read() == written.encode("utf-8")
+        except OSError:
+            verified = False
+        if not verified:
             raise RecoveryError(
                 "checkpoint %s failed post-write verification" % path
             )

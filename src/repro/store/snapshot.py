@@ -224,8 +224,9 @@ def write_checkpoint(
     state: dict[str, Any],
     *,
     injector=None,
-) -> None:
-    """Atomically write ``state`` as a checkpoint file at ``path``.
+) -> str:
+    """Atomically write ``state`` as a checkpoint file at ``path``;
+    returns the text written.
 
     The ``snapshot.write`` fault-injection site tears the write: half
     the document lands on the *final* path (simulating a crash after a
@@ -248,7 +249,9 @@ def write_checkpoint(
                 handle.flush()
                 os.fsync(handle.fileno())
             raise
-    atomic_write(path, data + "\n")
+    data += "\n"
+    atomic_write(path, data)
+    return data
 
 
 def load_checkpoint(path: str | os.PathLike[str]) -> dict[str, Any] | None:

@@ -23,6 +23,13 @@ what makes the scheme crash-safe end to end:
   redelivers the unacknowledged request, the reply is regenerated;
 * lost/unacked messages → redelivered by the bus sweep.
 
+:meth:`WorkflowNode.pump` sends the replies of finished served
+instances before it receives, and polls the node's reply queue only
+while one of its own requests awaits a reply.  So a late reply to an
+escalated request waits in the durable reply queue until the node next
+awaits a reply; only then is it received into the volatile reply
+cache, where nothing removes it.
+
 Resilience (:mod:`repro.resilience`) hardens the scheme against
 *unrecoverable* counterparts:
 
@@ -369,20 +376,23 @@ class WorkflowNode:
     # -- message processing ---------------------------------------------------
 
     def pump(self, max_messages: int = 10) -> int:
-        """Process up to ``max_messages`` inbound messages and send
-        replies for served requests that have finished; returns how
-        many messages/replies were handled."""
+        """Send replies for served requests that have finished, process
+        up to ``max_messages`` inbound messages, then send the replies
+        those finished; returns how many messages/replies were handled.
+
+        The reply queue is polled only while a request of this node
+        awaits its reply, so an idle pump makes one receive."""
         if self._injector is not None and self._injector.on_pump(self.name):
             self.crash()
             raise InjectedCrash(
                 "node %s crashed (injected fault)" % self.name
             )
-        handled = 0
+        handled = self._flush_pending()
         for __ in range(max_messages):
             if self._pump_one(_inbox(self.name), self._handle_request):
                 handled += 1
                 continue
-            if self._pump_one(
+            if self._requested and self._pump_one(
                 _reply_queue(self.name), self._handle_reply
             ):
                 handled += 1

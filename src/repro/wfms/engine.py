@@ -269,7 +269,9 @@ class Engine:
         """The archived per-instance record (root or descendant) when
         this engine has a store and the instance was archived, else
         None.  Archived instances left live navigator/audit memory, so
-        every instance query falls back through here."""
+        every instance query but a root's state and output (see
+        :meth:`_archived_row`) falls back through here, and reads the
+        root's entry from the archive file."""
         if self._store is None:
             return None
         view = self._store.archive.by_id(instance_id)
@@ -283,10 +285,22 @@ class Engine:
             return record
         return view
 
+    def _archived_row(self, instance_id: str):
+        """The archive's in-memory row when ``instance_id`` is an
+        archived root, else None: a root's state and output answer from
+        it without a read (a served request's reply, the flex loop's
+        polling)."""
+        if self._store is None:
+            return None
+        return self._store.archive.row(instance_id)
+
     def instance_state(self, instance_id: str) -> str:
         try:
             return self.navigator.instance(instance_id).state.value
         except NavigationError:
+            row = self._archived_row(instance_id)
+            if row is not None:
+                return row.state
             record = self._archived_record(instance_id)
             if record is None:
                 raise
@@ -310,6 +324,9 @@ class Engine:
         try:
             return self.navigator.instance(instance_id).output.to_dict()
         except NavigationError:
+            row = self._archived_row(instance_id)
+            if row is not None:
+                return copy.deepcopy(row.output)
             record = self._archived_record(instance_id)
             if record is None:
                 raise

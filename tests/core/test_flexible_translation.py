@@ -361,3 +361,73 @@ class TestSharedMember:
         assert wf.committed == native.committed
         assert wf.committed_path == native.committed_path
         assert wf_db == native_db
+
+
+class TestDoubleUnderscoreMemberNames:
+    """A member's name may contain ``__``: the outcome maps a member's
+    node-qualified activity (``<member>__<node>``, a member on two
+    alternatives) through the translation, not by splitting names."""
+
+    @staticmethod
+    def run(spec, abort=None):
+        results = []
+        for native in (True, False):
+            db = SimDatabase()
+            actions = {
+                n: Subtransaction(n, db, write_value(n, 1))
+                for n in spec.members
+            }
+            if abort:
+                actions[abort].policy = AbortScript([1])
+            comps = {
+                n: Subtransaction("c" + n, db, write_value(n, 0))
+                for n, member in spec.members.items()
+                if member.compensatable
+            }
+            if native:
+                outcome = NativeFlexibleExecutor(spec, actions, comps).run()
+            else:
+                translation = translate_flexible(spec)
+                engine = Engine()
+                register_programs(engine, translation, actions, comps)
+                engine.register_definition(translation.process)
+                result = engine.run_process(translation.process_name)
+                outcome = workflow_outcome(
+                    engine, translation, result.instance_id
+                )
+            results.append((outcome, db.snapshot()))
+        return results
+
+    def test_member_on_one_path(self):
+        spec = FlexibleSpec(
+            "dunder",
+            [FlexibleMember("a__b", compensatable=True), FlexibleMember("p")],
+            [["a__b", "p"]],
+        )
+        (native, native_db), (wf, wf_db) = self.run(spec)
+        assert wf_db == native_db == {"a__b": 1, "p": 1}
+        assert wf.committed_path == native.committed_path == ["a__b", "p"]
+
+    @pytest.mark.parametrize(
+        "abort, path", [(None, ["a", "x", "m__n"]), ("x", ["a", "y", "m__n"])]
+    )
+    def test_shared_member_runs_node_qualified(self, abort, path):
+        spec = FlexibleSpec(
+            "dunder_shared",
+            [
+                FlexibleMember("a", compensatable=True),
+                FlexibleMember("x"),
+                FlexibleMember("y", retriable=True),
+                FlexibleMember("m__n", retriable=True),
+            ],
+            [["a", "x", "m__n"], ["a", "y", "m__n"]],
+        )
+        qualified = [
+            name
+            for name in translate_flexible(spec).process.activities
+            if name.startswith("m__n__")
+        ]
+        assert len(qualified) == 1
+        (native, native_db), (wf, wf_db) = self.run(spec, abort)
+        assert wf_db == native_db
+        assert wf.committed_path == native.committed_path == path

@@ -293,6 +293,26 @@ def saga_run(directory):
     return translation, engine, observed
 
 
+#: keys only an entry's subtree, orders or audit records carry.
+ENTRY_PARTS = {"instances", "order", "execution_order", "audit", "records",
+               "event"}
+
+
+def entry_parts(archive):
+    """The ``ENTRY_PARTS`` keys reachable from any attribute of
+    ``archive`` through dicts, lists and tuples (rows included)."""
+    found = set()
+    stack = list(vars(archive).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            found.update(ENTRY_PARTS.intersection(value))
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return found
+
+
 def unsequenced(audit):
     """Audit records minus their global sequence numbers (replay
     renumbers a re-finished root's records)."""
@@ -337,6 +357,8 @@ class TestTwoFilesAcrossCrashes:
         for __ in range(6):
             first.start_process(translation.process_name)
         first.run()
+        assert len(first.store.archive) == 6
+        assert entry_parts(first.store.archive) == set()  # after add
         first.checkpoint()
         for __ in range(4):
             first.start_process(translation.process_name)
@@ -344,12 +366,87 @@ class TestTwoFilesAcrossCrashes:
             first.step()
         first.crash()
         fresh = engine()
+        assert len(fresh.store.archive) == 6
+        assert entry_parts(fresh.store.archive) == set()  # after open
         fresh.recover()
         fresh.run()
         archive = fresh.store.archive
         assert len(archive) == 10
+        assert entry_parts(archive) == set()
         for root in archive.roots():
             stored = archive.by_id(root)
             assert stored["format"] == 2 and "audit" not in stored
             assert archive.audit(root)
+            assert archive.row(root).state == "finished"
         fresh.close()
+
+
+class TestIndexRows:
+    """The index keeps a row per root and reads the root's entry from
+    its line in ``archive.jsonl``."""
+
+    def test_line_of_another_root_is_refused(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        archive = InstanceArchive(path)
+        archive.add(entry("pi-0001", "Pay"))
+        archive.add(entry("pi-0002", "Pay"))
+        data = path.read_bytes()
+        # pi-0001's byte range now holds the line of a root "pi-0003".
+        path.write_bytes(data.replace(b"pi-0001", b"pi-0003"))
+        with pytest.raises(RecoveryError, match="entry of pi-0001"):
+            archive.by_id("pi-0001")
+        with pytest.raises(RecoveryError, match="entry of pi-0001"):
+            archive.by_definition("Pay")
+        with pytest.raises(RecoveryError, match="entry of pi-0001"):
+            archive.finished_between(0.0, 0.0)
+        first, second = data.splitlines(keepends=True)
+        path.write_bytes(b"#" * len(first) + second)
+        with pytest.raises(RecoveryError, match="entry of pi-0001"):
+            archive.by_id("pi-0001")
+        assert archive.by_id("pi-0002")["root"] == "pi-0002"
+        archive.close()
+
+    def test_inline_slice_of_another_root_is_refused(self, tmp_path):
+        path = tmp_path / "archive.jsonl"
+        lines = [
+            json.dumps({**entry(root, audit=records(root)), "format": 1},
+                       sort_keys=True) + "\n"
+            for root in ("pi-0001", "pi-0002")
+        ]
+        path.write_text("".join(lines))
+        archive = InstanceArchive(path)
+        assert archive.audit("pi-0001") == records("pi-0001")
+        path.write_text("".join(lines).replace("pi-0001", "pi-0003"))
+        with pytest.raises(RecoveryError, match="entry of pi-0001"):
+            archive.audit("pi-0001")
+        archive.close()
+
+    def test_counts_outcomes_and_root_answers_read_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        translation, engine, observed = saga_run(tmp_path)
+        built = engine()
+        roots = [built.start_process(translation.process_name)
+                 for __ in range(3)]
+        built.run()
+        archive = built.store.archive
+        reads = []
+        real_pread = os.pread
+
+        def pread(*args):
+            reads.append(args)
+            return real_pread(*args)
+
+        monkeypatch.setattr(os, "pread", pread)
+        assert archive.roots() == roots
+        assert (len(archive), archive.instance_count()) == (3, 9)
+        assert roots[0] in archive and archive.outcomes() == {1: 3}
+        assert [built.instance_state(root) for root in roots] == [
+            "finished"
+        ] * 3
+        assert built.output(roots[0])["_RC"] == 1
+        assert reads == []
+        assert built.execution_order(roots[0])  # reads the line
+        assert len(reads) == 1
+        monkeypatch.undo()
+        built.close()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import JournalError, RecoveryError
 from repro.resilience import FaultInjector, FaultRule
-from repro.store import CheckpointedLog
+from repro.store import CheckpointedLog, snapshot
 
 
 def open_log(directory, **options):
@@ -184,6 +184,38 @@ def test_torn_write_leaves_previous_checkpoint_and_journal(tmp_path):
     assert (state["value"], skipped) == ("good", 1)
     assert [r["n"] for r in log.suffix(2)] == [2, 3]
     log.journal.abandon()
+
+
+@pytest.mark.parametrize("disk", ["truncated", "altered", "missing"])
+def test_checkpoint_differing_on_disk_is_refused(tmp_path, monkeypatch, disk):
+    """Step 4 reads the file back and compares it with what was
+    written: a file that differs, or cannot be read, raises before any
+    older checkpoint is retired or any journal segment compacted."""
+    log = open_log(tmp_path, keep_checkpoints=1)
+    note(log, 2)
+    log.checkpoint({"value": "good"})
+    with open(log.checkpoint_path(2), "rb") as handle:
+        good = handle.read()
+    note(log, 2)
+    real_write = snapshot.atomic_write
+
+    def differing(path, data):
+        if disk == "truncated":
+            real_write(path, data[:-10])
+        elif disk == "altered":
+            real_write(path, data.replace('"bad"', '"bac"'))
+
+    monkeypatch.setattr(snapshot, "atomic_write", differing)
+    with pytest.raises(RecoveryError, match="post-write verification"):
+        log.checkpoint({"value": "bad"})
+    monkeypatch.undo()
+    assert log.checkpoint_offsets() == ([2] if disk == "missing" else [2, 4])
+    with open(log.checkpoint_path(2), "rb") as handle:
+        assert handle.read() == good
+    state, skipped = log.latest()
+    assert state["value"] == "good"
+    assert [r["n"] for r in log.suffix(2)] == [2, 3]
+    log.journal.close()
 
 
 def test_constructor_data_reaches_the_journal(tmp_path):

@@ -206,6 +206,66 @@ class TestRemoteExecution:
         assert bus.depth("replies:front") == 1  # reply re-sent
 
 
+class CountingBus(MessageBus):
+    """A bus that logs every receive and send as ``(op, queue)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def receive_with_headers(self, queue):
+        self.calls.append(("receive", queue))
+        return super().receive_with_headers(queue)
+
+    def send(self, queue, body, headers=None):
+        self.calls.append(("send", queue))
+        return super().send(queue, body, headers)
+
+
+class TestPumpBusOps:
+    """What one ``pump`` asks of the bus: replies of finished served
+    instances go out first, and the reply queue is polled only while a
+    request of this node awaits its reply."""
+
+    def test_idle_node_makes_one_receive(self):
+        bus = CountingBus()
+        node = make_worker(bus)
+        node.pump()
+        assert bus.calls == [("receive", "node:worker")]
+
+    def test_outstanding_request_polls_the_reply_queue(self):
+        bus = CountingBus()
+        make_worker(bus)
+        front = make_requester(bus)
+        front.engine.start_process("Front", {"N": 1})
+        front.engine.run()  # sends the request, then waits to poll
+        assert bus.calls == [("send", "node:worker")]
+        bus.calls.clear()
+        front.pump()
+        assert bus.calls == [
+            ("receive", "node:front"),
+            ("receive", "replies:front"),
+        ]
+
+    def test_finished_reply_is_sent_before_the_next_receive(self):
+        bus = CountingBus()
+        worker = make_worker(bus)
+        front = make_requester(bus)
+        front.engine.start_process("Front", {"N": 1})
+        front.engine.run()
+        worker.pump()  # takes the request and starts the served instance
+        worker.engine.run()
+        assert worker.engine.instance_state("req/front/pi-0001/CallDouble") == (
+            "finished"
+        )
+        bus.calls.clear()
+        worker.pump()
+        assert bus.calls == [
+            ("send", "replies:front"),
+            ("receive", "node:worker"),
+        ]
+
+
 class TestCrashSafety:
     def test_requester_crash_and_rebuild(self, tmp_path):
         bus = MessageBus()
